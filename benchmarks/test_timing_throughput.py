@@ -4,20 +4,11 @@ The tentpole claim for the timing-engine split is that specializing the
 cycle-accurate pipeline per (program, config) buys a large factor of
 timing-path throughput with *bit-identical* SimStats.  This benchmark
 runs the repository's canonical timing run -- one RC4 session across the
-standard machine grid {4W, 8W+, DF} -- through both engines, asserts
-identity where both engines run the full trace, measures timing-path
+standard machine grid {4W, 8W+, DF} -- through both engines on the full
+trace, asserts bit-identical SimStats on every leg, measures timing-path
 instructions/second per leg, and records the numbers to
 ``BENCH_timing.json`` plus (with ``REPRO_BENCH_HISTORY`` set) the
 benchmark history for trend tracking.
-
-The generic engine's DF leg is measured on a bounded instruction prefix:
-its store-queue scan is quadratic in the unbounded DF load/store queue
-(``lsq_size`` is effectively infinite there), so a full paper-scale run
-takes hours.  Per-instruction cost grows monotonically with trace length
-(every load scans the entire store history), so the prefix rate strictly
-*overstates* the full-run rate -- the aggregate speedup computed from it
-is a conservative lower bound.  Both the half- and full-prefix rates are
-recorded so the decay is visible in the artifact.
 
 Session length defaults to 64 KiB so CI finishes in seconds; the
 committed artifact was generated with ``REPRO_TIMING_BENCH_BYTES=1048576``
@@ -42,33 +33,20 @@ BENCH_OUT = Path(os.environ.get("REPRO_TIMING_BENCH_OUT",
 #: one-time code generation over fewer instructions, so the floor scales
 #: down (mirroring ``test_backend_throughput``).
 SPEEDUP_FLOOR = 5.0 if BENCH_BYTES >= 1 << 20 else 2.5
-#: Instructions fed to the generic engine's DF leg (see module docstring).
-GENERIC_DF_PREFIX = int(os.environ.get("REPRO_TIMING_BENCH_DF_PREFIX",
-                                       "65536"))
 
 CONFIGS = (FOURW, EIGHTW_PLUS, DATAFLOW)
 
 
-def _feed(kernel_run, config, engine, limit=None):
-    """Time one pipeline over the trace (or its first ``limit`` entries).
-
-    Returns ``(stats_or_None, seconds, instructions_fed)``; stats are
-    only produced for full-trace runs (a prefix's stats describe a
-    different trace, so they are not comparable across legs).
-    """
+def _feed(kernel_run, config, engine):
+    """Time one pipeline over the whole trace; returns ``(stats, seconds)``."""
     trace = kernel_run.trace
     pipe = make_pipeline(config, trace.static, trace.program,
                          warm_ranges=kernel_run.warm_ranges, engine=engine)
-    fed = 0
     start = time.perf_counter()
     for chunk in trace.chunks(4096):
         pipe.feed(chunk)
-        fed += len(chunk)
-        if limit is not None and fed >= limit:
-            break
-    stats = pipe.finish() if limit is None else None
-    elapsed = time.perf_counter() - start
-    return stats, elapsed, fed
+    stats = pipe.finish()
+    return stats, time.perf_counter() - start
 
 
 def test_specialized_timing_speedup(show):
@@ -80,44 +58,21 @@ def test_specialized_timing_speedup(show):
     stats_by_leg = {}
     for config in CONFIGS:
         for engine in ("generic", "specialized"):
-            limit = (GENERIC_DF_PREFIX
-                     if engine == "generic" and config is DATAFLOW
-                     else None)
-            if limit is not None:
-                # Record the half-prefix rate too, making the O(n^2)
-                # decay (and hence the bound's conservatism) visible.
-                _, half_time, half_fed = _feed(
-                    kernel_run, config, engine, limit=limit // 2)
-            stats, elapsed, fed = _feed(
-                kernel_run, config, engine, limit=limit)
-            rate = fed / elapsed
-            leg = {
-                "instructions_measured": fed,
+            stats, elapsed = _feed(kernel_run, config, engine)
+            legs[f"{config.name}/{engine}"] = {
                 "seconds": round(elapsed, 3),
-                "instructions_per_second": round(rate),
-                "full_trace": limit is None,
+                "instructions_per_second": round(
+                    total_instructions / elapsed),
             }
-            if limit is not None:
-                leg["half_prefix_instructions_per_second"] = round(
-                    half_fed / half_time)
-                # Extrapolated full-run time at the (overstated) prefix
-                # rate; the true generic time is larger.
-                leg["extrapolated_seconds"] = round(
-                    total_instructions / rate, 3)
-            legs[f"{config.name}/{engine}"] = leg
             stats_by_leg[(config.name, engine)] = stats
 
-    # Bit-identical SimStats wherever both engines ran the full trace.
-    for config in (FOURW, EIGHTW_PLUS):
+    for config in CONFIGS:
         assert stats_by_leg[(config.name, "specialized")] == \
             stats_by_leg[(config.name, "generic")], config.name
 
     def total_seconds(engine):
-        out = 0.0
-        for config in CONFIGS:
-            leg = legs[f"{config.name}/{engine}"]
-            out += leg.get("extrapolated_seconds", leg["seconds"])
-        return out
+        return sum(legs[f"{config.name}/{engine}"]["seconds"]
+                   for config in CONFIGS)
 
     generic_seconds = total_seconds("generic")
     specialized_seconds = total_seconds("specialized")
@@ -132,16 +87,15 @@ def test_specialized_timing_speedup(show):
         "specialized_seconds": round(specialized_seconds, 3),
         "speedup": round(speedup, 2),
         "speedup_floor": SPEEDUP_FLOOR,
-        "generic_df_prefix": GENERIC_DF_PREFIX,
         "legs": legs,
     }
     BENCH_OUT.write_text(json.dumps(report, indent=2) + "\n")
     _record_history(legs, total_instructions, speedup)
     show(
         f"RC4 {BENCH_BYTES}B timing grid {{4W, 8W+, DF}}: generic "
-        f"{generic_seconds:.2f}s (DF extrapolated), specialized "
+        f"{generic_seconds:.2f}s, specialized "
         f"{specialized_seconds:.2f}s -> {speedup:.2f}x "
-        f"(floor {SPEEDUP_FLOOR}x, conservative) -> {BENCH_OUT}"
+        f"(floor {SPEEDUP_FLOOR}x) -> {BENCH_OUT}"
     )
     assert speedup >= SPEEDUP_FLOOR, (
         f"specialized timing engine only {speedup:.2f}x over generic "
@@ -172,7 +126,6 @@ def _record_history(legs, total_instructions, speedup):
                 "session_bytes": BENCH_BYTES,
                 "config": config_name,
                 "instructions": total_instructions,
-                "full_trace": leg["full_trace"],
                 "speedup": round(speedup, 2),
             },
             env=dict(environment_fingerprint(), timing_engine=engine),

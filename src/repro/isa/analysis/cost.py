@@ -139,30 +139,21 @@ def replay_memory(
 ) -> MemoryReplay:
     """Walk the trace in program order through a fresh memory model.
 
-    Mirrors :class:`repro.sim.timing.stages.MemoryOrderState` setup and
-    the generic engine's access pattern exactly (same hierarchy
-    parameters, same warm ranges, same store-queue aging, same SBox-cache
-    scheduling rule), so the counts are those the simulation will see.
+    Drives a fresh :class:`repro.sim.timing.stages.MemoryOrderState` with
+    the generic engine's access pattern exactly (same hierarchy, same
+    warm ranges, same store queue, same SBox-cache scheduling rule), so
+    the counts are those the simulation will see.  Only whether a read
+    forwards matters here, so every store is queued as data-ready at
+    cycle 1.
     """
-    from repro.sim.caches import MemoryHierarchy
-    from repro.sim.sboxcache import SBoxCacheArray
+    from repro.sim.timing.stages import MemoryOrderState
 
-    hierarchy = None
-    if not config.perfect_memory:
-        hierarchy = MemoryHierarchy(
-            l1_size=config.l1_size, l1_assoc=config.l1_assoc,
-            l1_block=config.l1_block, l2_size=config.l2_size,
-            l2_assoc=config.l2_assoc,
-            l2_hit_latency=config.l2_hit_latency,
-            memory_latency=config.memory_latency,
-            tlb_entries=config.tlb_entries, tlb_assoc=config.tlb_assoc,
-            page_size=config.page_size,
-            tlb_miss_latency=config.tlb_miss_latency,
-        )
-        for start, length in warm_ranges or ():
-            hierarchy.warm(start, length)
-    sbox_array = SBoxCacheArray(config.sbox_caches) \
-        if config.sbox_caches else None
+    memorder = MemoryOrderState(config, warm_ranges)
+    hierarchy = memorder.hierarchy
+    sbox_array = memorder.sbox_array
+    probe_stores = memorder.probe_stores
+    push_store = memorder.push_store
+    prune_interval = config.prune_interval
 
     static = trace.static
     klass = static.klass
@@ -170,11 +161,9 @@ def replay_memory(
     sbox_table = static.sbox_table
     sbox_aliased = static.sbox_aliased
     is_cond = static.is_cond_branch
-    lsq_size = config.lsq_size
 
     out = MemoryReplay(sport_uses=[0] * (config.sbox_caches or 0))
     counts: dict[str, int] = {}
-    recent_stores: list[tuple[int, int]] = []
     seq = trace.seq
     addrs = trace.addrs
     mul_costs = {
@@ -194,13 +183,7 @@ def replay_memory(
             out.mul_cost += cost
         if k == "load":
             addr = addrs[j]
-            size = mem_size[s]
-            forwarded = False
-            for start, end in reversed(recent_stores):
-                if addr < end and start < addr + size:
-                    forwarded = True
-                    break
-            if forwarded:
+            if probe_stores(addr, mem_size[s]):
                 out.forwarded += 1
             else:
                 out.dport_uses += 1
@@ -211,18 +194,13 @@ def replay_memory(
             out.dport_uses += 1
             if hierarchy is not None:
                 hierarchy.access(addr, is_store=True)
-            recent_stores.append((addr, addr + mem_size[s]))
-            if len(recent_stores) > lsq_size:
-                recent_stores.pop(0)
+            push_store(addr, mem_size[s], 1)
+            if not memorder.store_count % prune_interval:
+                memorder.prune_store_map(memorder.store_count)
         elif k == "sbox":
             addr = addrs[j]
             if sbox_aliased[s]:
-                forwarded = False
-                for start, end in reversed(recent_stores):
-                    if addr < end and start < addr + 4:
-                        forwarded = True
-                        break
-                if forwarded:
+                if probe_stores(addr, 4):
                     out.forwarded += 1
                 else:
                     out.dport_uses += 1

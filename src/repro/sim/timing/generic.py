@@ -111,7 +111,6 @@ class GenericPipeline(PipelineBase):
         load_lat = config.load_latency
         store_lat = config.store_latency
         perfect_alias = config.perfect_alias
-        lsq_size = config.lsq_size
         prune_interval = config.prune_interval
 
         fetch_cycle = frontend.fetch_cycle
@@ -123,7 +122,8 @@ class GenericPipeline(PipelineBase):
         break_on_taken = config.fetch_break_on_taken
 
         last_store_addr_known = memorder.last_store_addr_known
-        recent_stores = memorder.recent_stores
+        probe_stores = memorder.probe_stores
+        push_store = memorder.push_store
         sync_barrier = memorder.sync_barrier
 
         bumps: list[int] = []
@@ -215,12 +215,7 @@ class GenericPipeline(PipelineBase):
                 if not perfect_alias and last_store_addr_known > addr_ready:
                     addr_ready = last_store_addr_known
                 addr = addrs[j]
-                size = mem_size[s]
-                forward = 0
-                for start, end, data_ready in reversed(recent_stores):
-                    if addr < end and start < addr + size:
-                        forward = data_ready
-                        break
+                forward = probe_stores(addr, mem_size[s])
                 if forward:
                     request = max(addr_ready, forward)
                     issued = issue_at(request, _no_fu, _UNLIMITED)
@@ -252,9 +247,7 @@ class GenericPipeline(PipelineBase):
                 complete = issued + store_lat
                 if not perfect_alias and addr_known > last_store_addr_known:
                     last_store_addr_known = addr_known
-                recent_stores.append((addr, addr + mem_size[s], complete))
-                if len(recent_stores) > lsq_size:
-                    recent_stores.pop(0)
+                push_store(addr, mem_size[s], complete)
                 stats.stores += 1
             elif k == "sbox":
                 aliased = sbox_aliased[s]
@@ -267,12 +260,7 @@ class GenericPipeline(PipelineBase):
                     access_ready = last_store_addr_known
                 if not aliased and sync_barrier > access_ready:
                     access_ready = sync_barrier
-                forward = 0
-                if aliased:
-                    for start, end, data_ready in reversed(recent_stores):
-                        if addr < end and start < addr + 4:
-                            forward = data_ready
-                            break
+                forward = probe_stores(addr, 4) if aliased else 0
                 if forward:
                     request = max(access_ready, forward)
                     issued = issue_at(request, _no_fu, _UNLIMITED)
@@ -461,6 +449,7 @@ class GenericPipeline(PipelineBase):
                                           if c < horizon]:
                                 del counters[cycle]
                     trim_mark = horizon
+                memorder.prune_store_map(memorder.store_count)
 
         # ---- write carried scalar state back to the stage components ------
         frontend.fetch_cycle = fetch_cycle

@@ -13,13 +13,12 @@ generic interpreter re-derives per dynamic instruction:
   table ids and branch metadata become literals;
 * issue/FU checks for unlimited resources are elided entirely, as is the
   whole attribution pass on machines without slot accounting;
-* register-ready times live in locals, the store queue becomes a byte ->
-  ``(store_order, data_ready)`` map with unrolled probes, retirement uses
-  the scalar frontier (see :class:`~repro.sim.timing.stages
-  .SchedulerState`), and the cache hierarchy's all-hit path (TLB hit +
-  next-line resident + L1 hit) is inlined with a pure probe-then-commit
-  sequence that leaves the hierarchy state exactly as
-  ``MemoryHierarchy.access`` would;
+* register-ready times live in locals, the store-queue byte-map probes
+  and pushes are unrolled per access, retirement uses the scalar
+  frontier (see :class:`~repro.sim.timing.stages.SchedulerState`), and
+  the cache hierarchy's all-hit path (TLB hit + next-line resident + L1
+  hit) is inlined with a pure probe-then-commit sequence that leaves the
+  hierarchy state exactly as ``MemoryHierarchy.access`` would;
 * stall labels append to a frontier-ordered list (the machine-view
   frontier only ever advances, labeling each cycle exactly once), and
   per-instruction wait rows are pinned as locals, with ``wait_totals``
@@ -1102,9 +1101,8 @@ class SpecializedPipeline(PipelineBase):
 
         Identical in effect to the generic engine's inline prune (stats
         are invariant to *when* pruning happens); mutates the resource
-        dicts in place so the generated code's pinned references stay
-        valid.  Also prunes the store byte map, whose generic counterpart
-        (the capacity-capped ``recent_stores`` list) never grows.
+        dicts and the store byte map in place so the generated code's
+        pinned references stay valid.
         """
         scheduler = self.scheduler
         if (self._attribute
@@ -1129,22 +1127,16 @@ class SpecializedPipeline(PipelineBase):
                     for cycle in [c for c in counters if c < horizon]:
                         del counters[cycle]
             scheduler.trim_mark = horizon
-        store_map = self.memorder.store_map
-        lsq_size = self.config.lsq_size
-        if len(store_map) > 16 * lsq_size:
-            cutoff = store_count - lsq_size
-            for address in [a for a, entry in store_map.items()
-                            if entry[0] <= cutoff]:
-                del store_map[address]
+        self.memorder.prune_store_map(store_count)
 
     def _slow(self, seq, addrs, taken_arr, base_pos, lo, hi, next_s):
         """Per-entry interpreter over this engine's state representations.
 
-        A direct port of ``GenericPipeline._advance`` with the store queue
-        read/written as the byte map and retirement as the scalar
-        frontier; used for single-entry repairs between fast-path runs and
-        for whole windows the fast path cannot take.  Does not bump
-        ``self._count`` (the ``_advance`` driver does, once per window).
+        A direct port of ``GenericPipeline._advance`` with retirement as
+        the scalar frontier; used for single-entry repairs between
+        fast-path runs and for whole windows the fast path cannot take.
+        Does not bump ``self._count`` (the ``_advance`` driver does, once
+        per window).
         """
         config = self.config
         static = self.static
@@ -1211,7 +1203,6 @@ class SpecializedPipeline(PipelineBase):
         load_lat = config.load_latency
         store_lat = config.store_latency
         perfect_alias = config.perfect_alias
-        lsq_size = config.lsq_size
         prune_interval = config.prune_interval
 
         fetch_cycle = frontend.fetch_cycle
@@ -1223,9 +1214,8 @@ class SpecializedPipeline(PipelineBase):
         break_on_taken = config.fetch_break_on_taken
 
         last_store_addr_known = memorder.last_store_addr_known
-        store_map = memorder.store_map
-        store_map_get = store_map.get
-        store_count = memorder.store_count
+        probe_stores = memorder.probe_stores
+        push_store = memorder.push_store
         sync_barrier = memorder.sync_barrier
 
         bumps: list[int] = []
@@ -1307,17 +1297,7 @@ class SpecializedPipeline(PipelineBase):
                 if not perfect_alias and last_store_addr_known > addr_ready:
                     addr_ready = last_store_addr_known
                 addr = addrs[j]
-                size = mem_size[s]
-                # Latest live overlapping store, via the byte map: the
-                # entry with the greatest store order wins, exactly as the
-                # generic engine's newest-first interval scan does.
-                barrier_order = store_count - lsq_size
-                forward = 0
-                for byte in range(addr, addr + size):
-                    entry = store_map_get(byte)
-                    if entry is not None and entry[0] > barrier_order:
-                        barrier_order = entry[0]
-                        forward = entry[1]
+                forward = probe_stores(addr, mem_size[s])
                 if forward:
                     request = max(addr_ready, forward)
                     issued = issue_at(request, _no_fu, _UNLIMITED)
@@ -1348,10 +1328,7 @@ class SpecializedPipeline(PipelineBase):
                 complete = issued + store_lat
                 if not perfect_alias and addr_known > last_store_addr_known:
                     last_store_addr_known = addr_known
-                store_count += 1
-                entry = (store_count, complete)
-                for byte in range(addr, addr + mem_size[s]):
-                    store_map[byte] = entry
+                push_store(addr, mem_size[s], complete)
                 stats.stores += 1
             elif k == "sbox":
                 aliased = sbox_aliased[s]
@@ -1364,14 +1341,7 @@ class SpecializedPipeline(PipelineBase):
                     access_ready = last_store_addr_known
                 if not aliased and sync_barrier > access_ready:
                     access_ready = sync_barrier
-                forward = 0
-                if aliased:
-                    barrier_order = store_count - lsq_size
-                    for byte in range(addr, addr + 4):
-                        entry = store_map_get(byte)
-                        if entry is not None and entry[0] > barrier_order:
-                            barrier_order = entry[0]
-                            forward = entry[1]
+                forward = probe_stores(addr, 4) if aliased else 0
                 if forward:
                     request = max(access_ready, forward)
                     issued = issue_at(request, _no_fu, _UNLIMITED)
@@ -1524,7 +1494,8 @@ class SpecializedPipeline(PipelineBase):
                 if attribute:
                     attribution.frontier = frontier
                 self._prune_maps(
-                    min(dispatch_floor, retire_prev) - 8192, store_count
+                    min(dispatch_floor, retire_prev) - 8192,
+                    memorder.store_count,
                 )
 
         # ---- write carried scalar state back ------------------------------
@@ -1537,7 +1508,6 @@ class SpecializedPipeline(PipelineBase):
         scheduler.max_complete = max_complete
         scheduler.prune_mark = prune_mark
         memorder.last_store_addr_known = last_store_addr_known
-        memorder.store_count = store_count
         memorder.sync_barrier = sync_barrier
         if attribute:
             attribution.frontier = frontier

@@ -104,19 +104,19 @@ class SchedulerState:
 class MemoryOrderState:
     """Memory-ordering/alias stage: store queue, sync barrier, hierarchies.
 
-    The store queue exists in two equivalent representations: the generic
-    engine's ``recent_stores`` list of ``(start, end, data_ready)``
-    intervals (capacity ``lsq_size``, oldest popped first) and the
-    specialized engine's ``store_map`` byte map of
+    The store queue is the byte map ``store_map`` of
     ``address -> (store_order, data_ready)`` entries plus a running
-    ``store_count``, where an entry is live iff its order is within the
-    last ``lsq_size`` stores.  A load consults whichever its engine
-    maintains; both yield the data-ready cycle of the *latest* overlapping
-    live store.
+    ``store_count``: an entry is live iff its order is within the last
+    ``lsq_size`` stores.  A load (or aliased SBOX read) probes the bytes
+    it reads; the live entry with the greatest order -- the newest
+    overlapping store still in the queue -- supplies the forwarded
+    data-ready cycle.  Every access costs O(access size), however deep
+    the queue.  The specialized engine's generated code unrolls the same
+    probe and push over this state.
     """
 
     __slots__ = ("hierarchy", "sbox_array", "last_store_addr_known",
-                 "recent_stores", "store_map", "store_count", "sync_barrier")
+                 "lsq_size", "store_map", "store_count", "sync_barrier")
 
     def __init__(
         self,
@@ -141,10 +141,49 @@ class MemoryOrderState:
             SBoxCacheArray(config.sbox_caches) if config.sbox_caches else None
         )
         self.last_store_addr_known = 0
-        self.recent_stores: list[tuple[int, int, int]] = []
+        self.lsq_size = config.lsq_size
         self.store_map: dict[int, tuple[int, int]] = {}
         self.store_count = 0
         self.sync_barrier = 0
+
+    def probe_stores(self, addr: int, size: int) -> int:
+        """Data-ready cycle forwarded to a ``size``-byte read at ``addr``.
+
+        The newest live store overlapping the read wins; 0 when none
+        does.
+        """
+        get = self.store_map.get
+        order = self.store_count - self.lsq_size
+        ready = 0
+        for byte in range(addr, addr + size):
+            entry = get(byte)
+            if entry is not None and entry[0] > order:
+                order, ready = entry
+        return ready
+
+    def push_store(self, addr: int, size: int, data_ready: int) -> None:
+        """Enqueue a ``size``-byte store at ``addr``."""
+        self.store_count = count = self.store_count + 1
+        entry = (count, data_ready)
+        store_map = self.store_map
+        for byte in range(addr, addr + size):
+            store_map[byte] = entry
+
+    def prune_store_map(self, store_count: int) -> None:
+        """Drop entries aged out of the queue once the map has grown.
+
+        ``store_count`` is the caller's running count (the specialized
+        engine carries it in a local).  Dead entries can never forward
+        again, so dropping them changes no probe result.  Below
+        ``16 * lsq_size`` entries the scan is skipped.
+        """
+        store_map = self.store_map
+        lsq_size = self.lsq_size
+        if len(store_map) > 16 * lsq_size:
+            cutoff = store_count - lsq_size
+            for address in [a for a, entry in store_map.items()
+                            if entry[0] <= cutoff]:
+                del store_map[address]
 
 
 class AttributionState:
