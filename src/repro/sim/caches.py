@@ -113,7 +113,31 @@ class MemoryHierarchy:
         The next-line prefetcher runs on every access (a tagged/stream
         next-line scheme), which is what lets the paper state that it
         "eliminates virtually all data cache misses in the cipher kernel".
+
+        The all-hit case -- TLB hit, L1 hit, next line already resident --
+        only moves the two touched tags to most-recently-used and counts
+        the hits, so it is tested first without going through the general
+        path below.
         """
+        l1 = self.l1
+        l1_sets = l1.sets
+        line = address // l1.block
+        tags = l1_sets[line % l1.num_sets]
+        tlb = self.tlb.cache
+        page = address // tlb.block
+        pages = tlb.sets[page % tlb.num_sets]
+        if (page in pages and line in tags
+                and (not self.next_line_prefetch
+                     or line + 1 in l1_sets[(line + 1) % l1.num_sets])):
+            if pages[-1] != page:
+                pages.remove(page)
+                pages.append(page)
+            tlb.hits += 1
+            if tags[-1] != line:
+                tags.remove(line)
+                tags.append(line)
+            l1.hits += 1
+            return 0
         extra = 0
         if not self.tlb.access(address):
             extra += self.tlb_miss_latency

@@ -1,12 +1,17 @@
 """The ``"generic"`` timing engine: one interpreter loop for any program.
 
 This is the reference implementation of the timing model -- a single flat
-loop over trace entries that re-examines every instruction's class,
-sources and latencies per dynamic instance.  It handles every machine
-configuration and every trace shape (including synthetic chunks with
-explicit ``taken`` flags), and its output defines correctness for every
-other engine: the ``"specialized"`` engine must match it bit for bit
-(``tests/sim/test_timing_engines.py`` is the oracle).
+loop over trace entries.  It handles every machine configuration and
+every trace shape (including synthetic chunks with explicit ``taken``
+flags), and its output defines correctness for every other engine: the
+``"specialized"`` engine must match it bit for bit
+(``tests/sim/test_timing_engines.py`` is the oracle, and
+``tests/sim/test_timing_golden.py`` pins both to recorded numbers).
+
+Everything an instruction's static metadata and the machine config
+decide is resolved once per pipeline into a per-static-instruction
+*plan* (:func:`_build_plan`), so the loop unpacks one tuple per dynamic
+instruction instead of re-dispatching on its class string.
 """
 
 from __future__ import annotations
@@ -29,11 +34,116 @@ from repro.sim.timing.stages import (
     PipelineBase,
 )
 
+# Plan class codes.  Every class but the memory ones and SYNC is _K_PLAIN:
+# issue on the plan's unit pool (if any), complete after its latency.
+(_K_PLAIN, _K_LOAD, _K_STORE, _K_SBOX_ALIASED, _K_SBOX_CACHE,
+ _K_SBOX_DCACHE, _K_SYNC) = range(7)
+
+# Plan branch flags: conditional branches on a machine with a predictor
+# consult it; every other branch is predicted correctly.
+_BR_NONE, _BR_PREDICTED, _BR_CONDITIONAL = range(3)
+
+
+def _build_plan(pipeline: "GenericPipeline") -> list[tuple]:
+    """One tuple per static instruction, resolving everything static.
+
+    ``(code, pool, limit, cost, category, latency, dest, sources,
+    branch)``: the class code, the unit pool's per-cycle usage map
+    (``None`` when its check can never bind), the pool's per-cycle limit,
+    this instruction's cost on it, the stall category a full pool is
+    blamed on, the base latency from issue to completion, the destination
+    register, the source registers and the branch flag.
+
+    A pool whose every user costs one unit and whose limit is at least the
+    issue width can never bind: its per-cycle use is bounded by the issue
+    count, which the issue check keeps below the limit.  Its checks and
+    bookkeeping are skipped.
+    """
+    config = pipeline.config
+    static = pipeline.static
+    scheduler = pipeline.scheduler
+    issue_width = pipeline._issue_width
+    track_issue = pipeline._track_issue
+    sbox_array = pipeline.memorder.sbox_array
+
+    def pool(used, limit, costs=(1,)):
+        if limit == _UNLIMITED or (track_issue and limit >= issue_width
+                                   and set(costs) == {1}):
+            return None
+        return used
+
+    mul_costs = (config.mul32_cost, config.mul64_cost, config.mulmod_cost)
+    ialu = pool(scheduler.ialu_used, pipeline._num_ialu)
+    rot = pool(scheduler.rot_used, pipeline._num_rot)
+    mul = pool(scheduler.mul_used, pipeline._mul_slots, mul_costs)
+    dport = pool(scheduler.dport_used, pipeline._dports)
+    sports = [pool(used, pipeline._sbox_ports)
+              for used in scheduler.sport_used]
+    simple = {
+        "ialu": (ialu, pipeline._num_ialu, 1, _C_FU_IALU,
+                 config.alu_latency),
+        "rotator": (rot, pipeline._num_rot, 1, _C_FU_ROT,
+                    config.rotator_latency),
+        "mul32": (mul, pipeline._mul_slots, config.mul32_cost, _C_FU_MUL,
+                  config.mul32_latency),
+        "mul64": (mul, pipeline._mul_slots, config.mul64_cost, _C_FU_MUL,
+                  config.mul64_latency),
+        "mulmod": (mul, pipeline._mul_slots, config.mulmod_cost, _C_FU_MUL,
+                   config.mulmod_latency),
+    }
+    dcache = (dport, pipeline._dports, 1, _C_FU_MEM)
+    plan = []
+    for s, klass in enumerate(static.klass):
+        code = _K_PLAIN
+        if klass == "load":
+            code = _K_LOAD
+            resources = (*dcache, config.load_latency - 1)
+        elif klass == "store":
+            code = _K_STORE
+            resources = (*dcache, config.store_latency)
+        elif klass == "sbox" and static.sbox_aliased[s]:
+            code = _K_SBOX_ALIASED
+            resources = (*dcache, config.sbox_dcache_latency)
+        elif (klass == "sbox" and sbox_array is not None
+              and static.sbox_table[s] < sbox_array.count):
+            # The table designator schedules this access onto a dedicated
+            # SBox cache; ids beyond the cache count (e.g. 3DES's eight
+            # logical tables) deliberately stay on the d-cache path so a
+            # single-tag sector cache is not thrashed between tables.
+            code = _K_SBOX_CACHE
+            port = static.sbox_table[s] % sbox_array.count
+            resources = (sports[port], pipeline._sbox_ports, 1, _C_FU_SBOX,
+                         config.sbox_cache_latency)
+        elif klass == "sbox":
+            code = _K_SBOX_DCACHE
+            resources = (*dcache, config.sbox_dcache_latency)
+        elif klass == "sync":
+            code = _K_SYNC
+            resources = (None, _UNLIMITED, 1, _C_ISSUE, 1)
+        else:
+            resources = simple.get(
+                klass, (None, _UNLIMITED, 1, _C_ISSUE, config.alu_latency))
+        branch = _BR_NONE
+        if static.is_branch[s]:
+            branch = (_BR_CONDITIONAL
+                      if static.is_cond_branch[s]
+                      and pipeline.frontend.predictor is not None
+                      else _BR_PREDICTED)
+        plan.append((code, *resources, static.dest[s], static.srcs[s],
+                     branch))
+    return plan
+
 
 class GenericPipeline(PipelineBase):
     """Per-entry interpreter over the stage components."""
 
     engine_name = "generic"
+
+    def __init__(self, config, static, program, warm_ranges=None,
+                 schedule_range=None):
+        super().__init__(config, static, program, warm_ranges=warm_ranges,
+                         schedule_range=schedule_range)
+        self._plan = _build_plan(self)
 
     def _advance(
         self,
@@ -53,10 +163,14 @@ class GenericPipeline(PipelineBase):
         ``seq[j + 1]`` in-bounds, else ``next_s`` (the first entry of the
         next chunk), else taken (``next_s is None`` = end of trace).
 
-        The body is one flat loop over the entries with all carried state
-        rebound to locals on entry and scalar state written back on exit --
-        the dict/list state is mutated in place.  This keeps the streaming
-        path within noise of the old monolithic pass.
+        The body is one flat loop over the entries.  Each entry unpacks
+        its static instruction's plan tuple; only the memory classes and
+        SYNC branch further.  Issue is inlined: the uncontended case is
+        straight-line code, and only a contended issue runs the bump loop
+        that records one stall category per cycle it waited.  Carried
+        scalar state and the stats counters live in locals and are
+        written back at the end of the call; the dict/list state is
+        mutated in place.
         """
         config = self.config
         static = self.static
@@ -65,51 +179,34 @@ class GenericPipeline(PipelineBase):
         scheduler = self.scheduler
         memorder = self.memorder
         attribution = self.attribution
+        plan = self._plan
 
-        klass = static.klass
-        dest = static.dest
-        srcs = static.srcs
         addr_srcs = static.addr_srcs
-        is_branch = static.is_branch
-        is_cond = static.is_cond_branch
         mem_size = static.mem_size
         sbox_table = static.sbox_table
-        sbox_aliased = static.sbox_aliased
 
         predictor = frontend.predictor
         hierarchy = memorder.hierarchy
         sbox_array = memorder.sbox_array
 
         issue_used = scheduler.issue_used
-        ialu_used = scheduler.ialu_used
-        rot_used = scheduler.rot_used
-        mul_used = scheduler.mul_used
-        dport_used = scheduler.dport_used
-        sport_used = scheduler.sport_used
-        retire_used = scheduler.retire_used
-        _no_fu = scheduler.no_fu
+        issue_get = issue_used.get
         reg_ready = scheduler.reg_ready
         retire_ring = scheduler.retire_ring
         retire_prev = scheduler.retire_prev
+        retire_count = scheduler.retire_count
         max_complete = scheduler.max_complete
         prune_mark = scheduler.prune_mark
-        trim_mark = scheduler.trim_mark
 
         issue_width = self._issue_width
-        num_ialu = self._num_ialu
-        num_rot = self._num_rot
-        mul_slots = self._mul_slots
-        dports = self._dports
         retire_width = self._retire_width
-        sbox_ports = self._sbox_ports
+        limited_retire = retire_width != _UNLIMITED
         track_issue = self._track_issue
         attribute = self._attribute
         window = config.window_size
         frontend_depth = config.frontend_depth
-        alu_lat = config.alu_latency
-        rot_lat = config.rotator_latency
-        load_lat = config.load_latency
-        store_lat = config.store_latency
+        sbox_miss_lat = config.sbox_dcache_latency
+        mispredict_penalty = config.mispredict_penalty
         perfect_alias = config.perfect_alias
         prune_interval = config.prune_interval
 
@@ -119,118 +216,79 @@ class GenericPipeline(PipelineBase):
         mispredict_until = frontend.mispredict_until
         fetch_width = config.fetch_width
         groups_per_cycle = config.fetch_groups_per_cycle
-        break_on_taken = config.fetch_break_on_taken
+        break_on_taken = config.fetch_break_on_taken and fetch_width is not None
 
         last_store_addr_known = memorder.last_store_addr_known
         probe_stores = memorder.probe_stores
         push_store = memorder.push_store
         sync_barrier = memorder.sync_barrier
 
-        bumps: list[int] = []
         if attribute:
-            reason_at = attribution.reason_at
-            wait_totals = attribution.wait_totals
+            label = attribution.labels.append
             frontier = attribution.frontier
             hot = attribution.hot
             exec_counts = attribution.exec_counts
-        else:
-            frontier = 0
-
-        def issue_at(cycle: int, fu_used: dict, fu_limit: int,
-                     cost: int = 1, fu_cat: int = _C_ISSUE) -> int:
-            """First cycle >= ``cycle`` with an issue slot and FU room."""
-            if attribute:
-                bumps.clear()
-            while True:
-                if track_issue and issue_used.get(cycle, 0) >= issue_width:
-                    if attribute:
-                        bumps.append(_C_ISSUE)
-                    cycle += 1
-                    continue
-                if (fu_limit != _UNLIMITED
-                        and fu_used.get(cycle, 0) + cost > fu_limit):
-                    if attribute:
-                        bumps.append(fu_cat)
-                    cycle += 1
-                    continue
-                break
-            if track_issue:
-                issue_used[cycle] = issue_used.get(cycle, 0) + 1
-            if fu_limit != _UNLIMITED:
-                fu_used[cycle] = fu_used.get(cycle, 0) + cost
-            return cycle
 
         schedule = self._schedule
         sched_start = self._sched_start
         sched_end = self._sched_end
         seq_len = len(seq)
 
+        loads = stores = sbox_accesses = store_forwards = 0
+        branches = mispredictions = sbox_cache_misses = 0
+        bumps: list[int] = []
+
         for j in range(lo, hi):
             pos = base_pos + j
             s = seq[j]
-            k = klass[s]
+            (code, pool, limit, cost, pool_cat, latency, d, sources,
+             branch) = plan[s]
 
             # ---- fetch ----------------------------------------------------
-            this_fetch = fetch_cycle
             if fetch_width is not None:
                 if fetch_slots_used >= fetch_width:
                     fetch_cycle += 1
                     fetch_slots_used = 0
                     fetch_groups_used = 0
-                    this_fetch = fetch_cycle
                 fetch_slots_used += 1
+            this_fetch = fetch_cycle
 
             # ---- dispatch / operands --------------------------------------
-            enter = this_fetch + frontend_depth
-            earliest = enter
+            enter = earliest = this_fetch + frontend_depth
             if window:
                 freed = retire_ring[pos % window]
                 if freed > earliest:
                     earliest = freed
             dispatch_floor = earliest
-            for r in srcs[s]:
+            for r in sources:
                 t = reg_ready[r]
                 if t > earliest:
                     earliest = t
 
-            # ---- issue + execute ------------------------------------------
+            # ---- request cycle per class ----------------------------------
             # ``operand_end`` / ``request`` bound the attribution segments:
             # [dispatch_floor, operand_end) is operand wait (incl. address
             # generation), [operand_end, request) is memory-ordering/alias
             # stall, [request, issued) is issue/FU contention per ``bumps``.
-            if k == "ialu":
+            if code == _K_PLAIN:
                 operand_end = request = earliest
-                issued = issue_at(request, ialu_used, num_ialu,
-                                  fu_cat=_C_FU_IALU)
-                complete = issued + alu_lat
-            elif k == "rotator":
-                operand_end = request = earliest
-                issued = issue_at(request, rot_used, num_rot,
-                                  fu_cat=_C_FU_ROT)
-                complete = issued + rot_lat
-            elif k == "load":
+            elif code == _K_LOAD:
                 # Address generation, then ordered cache access.
-                addr_ready = earliest + 1
-                operand_end = addr_ready
-                if not perfect_alias and last_store_addr_known > addr_ready:
-                    addr_ready = last_store_addr_known
+                operand_end = request = earliest + 1
+                if not perfect_alias and last_store_addr_known > request:
+                    request = last_store_addr_known
                 addr = addrs[j]
                 forward = probe_stores(addr, mem_size[s])
                 if forward:
-                    request = max(addr_ready, forward)
-                    issued = issue_at(request, _no_fu, _UNLIMITED)
-                    complete = issued + 1
-                    stats.store_forwards += 1
-                else:
-                    request = addr_ready
-                    issued = issue_at(request, dport_used, dports,
-                                      fu_cat=_C_FU_MEM)
-                    extra = 0
-                    if hierarchy is not None:
-                        extra = hierarchy.access(addr)
-                    complete = issued + (load_lat - 1) + extra
-                stats.loads += 1
-            elif k == "store":
+                    if forward > request:
+                        request = forward
+                    pool = None
+                    latency = 1
+                    store_forwards += 1
+                elif hierarchy is not None:
+                    latency += hierarchy.access(addr)
+                loads += 1
+            elif code == _K_STORE:
                 # The address resolves when the base register is ready.
                 addr_known = dispatch_floor
                 for r in addr_srcs[s]:
@@ -238,88 +296,94 @@ class GenericPipeline(PipelineBase):
                     if t > addr_known:
                         addr_known = t
                 addr_known += 1
-                operand_end = request = max(earliest, addr_known)
-                issued = issue_at(request, dport_used, dports,
-                                  fu_cat=_C_FU_MEM)
-                addr = addrs[j]
+                operand_end = request = (earliest if earliest > addr_known
+                                         else addr_known)
                 if hierarchy is not None:
-                    hierarchy.access(addr, is_store=True)
-                complete = issued + store_lat
+                    hierarchy.access(addrs[j], True)
                 if not perfect_alias and addr_known > last_store_addr_known:
                     last_store_addr_known = addr_known
-                push_store(addr, mem_size[s], complete)
-                stats.stores += 1
-            elif k == "sbox":
-                aliased = sbox_aliased[s]
+                stores += 1
+            elif code == _K_SBOX_ALIASED:
+                # RC4's read-modify-write table: ordered like a load.
+                operand_end = request = earliest
+                if not perfect_alias and last_store_addr_known > request:
+                    request = last_store_addr_known
                 addr = addrs[j]
-                stats.sbox_accesses += 1
-                operand_end = earliest
-                access_ready = earliest
-                if (aliased and not perfect_alias
-                        and last_store_addr_known > access_ready):
-                    access_ready = last_store_addr_known
-                if not aliased and sync_barrier > access_ready:
-                    access_ready = sync_barrier
-                forward = probe_stores(addr, 4) if aliased else 0
+                forward = probe_stores(addr, 4)
                 if forward:
-                    request = max(access_ready, forward)
-                    issued = issue_at(request, _no_fu, _UNLIMITED)
-                    complete = issued + 1
-                    stats.store_forwards += 1
-                elif (sbox_array is not None and not aliased
-                      and sbox_table[s] < sbox_array.count):
-                    # The table designator schedules this access onto a
-                    # dedicated SBox cache; ids beyond the cache count (e.g.
-                    # 3DES's eight logical tables) deliberately stay on the
-                    # d-cache path so a single-tag sector cache is not
-                    # thrashed between tables.
-                    table = sbox_table[s]
-                    port = table % sbox_array.count
-                    request = access_ready
-                    issued = issue_at(request, sport_used[port], sbox_ports,
-                                      fu_cat=_C_FU_SBOX)
-                    if sbox_array.access(table, addr):
-                        complete = issued + config.sbox_cache_latency
-                    else:
-                        stats.sbox_cache_misses += 1
-                        complete = (issued + config.sbox_cache_latency
-                                    + config.sbox_dcache_latency)
-                else:
-                    request = access_ready
-                    issued = issue_at(request, dport_used, dports,
-                                      fu_cat=_C_FU_MEM)
-                    extra = 0
-                    if hierarchy is not None:
-                        extra = hierarchy.access(addr)
-                    complete = issued + config.sbox_dcache_latency + extra
-            elif k == "mul32":
+                    if forward > request:
+                        request = forward
+                    pool = None
+                    latency = 1
+                    store_forwards += 1
+                elif hierarchy is not None:
+                    latency += hierarchy.access(addr)
+                sbox_accesses += 1
+            elif code == _K_SBOX_CACHE:
                 operand_end = request = earliest
-                issued = issue_at(request, mul_used, mul_slots,
-                                  config.mul32_cost, fu_cat=_C_FU_MUL)
-                complete = issued + config.mul32_latency
-            elif k == "mul64":
+                if sync_barrier > request:
+                    request = sync_barrier
+                if not sbox_array.access(sbox_table[s], addrs[j]):
+                    latency += sbox_miss_lat
+                    sbox_cache_misses += 1
+                sbox_accesses += 1
+            elif code == _K_SBOX_DCACHE:
                 operand_end = request = earliest
-                issued = issue_at(request, mul_used, mul_slots,
-                                  config.mul64_cost, fu_cat=_C_FU_MUL)
-                complete = issued + config.mul64_latency
-            elif k == "mulmod":
+                if sync_barrier > request:
+                    request = sync_barrier
+                if hierarchy is not None:
+                    latency += hierarchy.access(addrs[j])
+                sbox_accesses += 1
+            else:  # _K_SYNC
                 operand_end = request = earliest
-                issued = issue_at(request, mul_used, mul_slots,
-                                  config.mulmod_cost, fu_cat=_C_FU_MUL)
-                complete = issued + config.mulmod_latency
-            elif k == "sync":
-                operand_end = request = earliest
-                issued = issue_at(request, _no_fu, _UNLIMITED)
-                complete = issued + 1
                 if sbox_array is not None:
                     sbox_array.sync(sbox_table[s])
+
+            # ---- issue: first cycle >= request with a slot and unit room --
+            issued = request
+            if track_issue:
+                used = issue_get(issued, 0)
+                if pool is None:
+                    if used >= issue_width:
+                        bumps = []
+                        while used >= issue_width:
+                            bumps.append(_C_ISSUE)
+                            issued += 1
+                            used = issue_get(issued, 0)
+                else:
+                    busy = pool.get(issued, 0)
+                    if used >= issue_width or busy + cost > limit:
+                        bumps = []
+                        while True:
+                            if used >= issue_width:
+                                bumps.append(_C_ISSUE)
+                            elif busy + cost > limit:
+                                bumps.append(pool_cat)
+                            else:
+                                break
+                            issued += 1
+                            used = issue_get(issued, 0)
+                            busy = pool.get(issued, 0)
+                    pool[issued] = busy + cost
+                issue_used[issued] = used + 1
+            elif pool is not None:
+                busy = pool.get(issued, 0)
+                if busy + cost > limit:
+                    bumps = []
+                    while busy + cost > limit:
+                        bumps.append(pool_cat)
+                        issued += 1
+                        busy = pool.get(issued, 0)
+                pool[issued] = busy + cost
+            complete = issued + latency
+            if code == _K_STORE:
+                push_store(addrs[j], mem_size[s], complete)
+            elif code == _K_SYNC:
                 sync_barrier = complete
-            else:
-                operand_end = request = earliest
-                issued = issue_at(request, _no_fu, _UNLIMITED)
-                complete = issued + alu_lat
 
             # ---- stall attribution ----------------------------------------
+            # ``bumps`` is only read when this instruction waited past its
+            # request (issued > request), which rebuilt it above.
             if attribute:
                 exec_counts[s] += 1
                 # Machine view: label every cycle up to this issue with the
@@ -340,28 +404,26 @@ class GenericPipeline(PipelineBase):
                             cat = _C_ALIAS
                         else:
                             cat = bumps[cycle - request]
-                        reason_at[cycle] = cat
+                        label(cat)
                     frontier = issued
                 # Instruction view: cycles *this* instruction spent blocked.
                 window_wait = dispatch_floor - enter
                 operand_wait = operand_end - dispatch_floor
                 alias_wait = request - operand_end
-                if window_wait or operand_wait or alias_wait or bumps:
+                if window_wait or operand_wait or alias_wait or (
+                        issued > request):
                     row = hot.get(s)
                     if row is None:
                         row = hot[s] = [0] * _N_WAIT
                     row[_C_WINDOW - _C_WINDOW] += window_wait
                     row[_C_OPERAND - _C_WINDOW] += operand_wait
                     row[_C_ALIAS - _C_WINDOW] += alias_wait
-                    wait_totals[0] += window_wait
-                    wait_totals[1] += operand_wait
-                    wait_totals[2] += alias_wait
-                    for cat in bumps:
-                        row[cat - _C_WINDOW] += 1
-                        wait_totals[cat - _C_WINDOW] += 1
+                    if issued > request:
+                        for cat in bumps:
+                            row[cat - _C_WINDOW] += 1
 
             # ---- branch resolution / fetch redirect -----------------------
-            if is_branch[s]:
+            if branch:
                 if taken_arr is not None:
                     taken = bool(taken_arr[j])
                 else:
@@ -372,20 +434,18 @@ class GenericPipeline(PipelineBase):
                         taken = True
                     else:
                         taken = next_s != s + 1
-                stats.branches += 1
-                correct = True
-                if predictor is not None and is_cond[s]:
-                    correct = predictor.predict_and_update(s, taken)
-                if not correct:
-                    stats.mispredictions += 1
-                    redirect = complete + config.mispredict_penalty
+                branches += 1
+                if (branch == _BR_CONDITIONAL
+                        and not predictor.predict_and_update(s, taken)):
+                    mispredictions += 1
+                    redirect = complete + mispredict_penalty
                     if redirect > fetch_cycle:
                         fetch_cycle = redirect
                         fetch_slots_used = 0
                         fetch_groups_used = 0
                         if redirect > mispredict_until:
                             mispredict_until = redirect
-                elif taken and break_on_taken and fetch_width is not None:
+                elif taken and break_on_taken:
                     fetch_groups_used += 1
                     if fetch_groups_used >= groups_per_cycle:
                         fetch_cycle += 1
@@ -393,26 +453,28 @@ class GenericPipeline(PipelineBase):
                         fetch_groups_used = 0
 
             # ---- writeback / retire ---------------------------------------
-            d = dest[s]
             if d >= 0:
                 reg_ready[d] = complete
             if complete > max_complete:
                 max_complete = complete
 
             r = complete + 1
-            if r < retire_prev:
-                r = retire_prev
-            if retire_width != _UNLIMITED:
-                while retire_used.get(r, 0) >= retire_width:
-                    r += 1
-                retire_used[r] = retire_used.get(r, 0) + 1
-            retire_prev = r
+            if r > retire_prev:
+                retire_prev = r
+                retire_count = 1
+            elif limited_retire and retire_count >= retire_width:
+                # Only the frontier cycle can fill (see SchedulerState).
+                retire_prev += 1
+                retire_count = 1
+            else:
+                retire_count += 1
             if window:
-                retire_ring[pos % window] = r
+                retire_ring[pos % window] = retire_prev
             if schedule is not None and sched_start <= pos < sched_end:
                 # dispatch_floor = window entry (fetch throttled by ROB
                 # space), the honest "F" column for visualization.
-                schedule.append((pos, s, dispatch_floor, issued, complete, r))
+                schedule.append((pos, s, dispatch_floor, issued, complete,
+                                 retire_prev))
 
             # ---- prune resource maps --------------------------------------
             if pos - prune_mark >= prune_interval:
@@ -421,50 +483,32 @@ class GenericPipeline(PipelineBase):
                 # and in-order retirement both only move forward) and every
                 # resource probe of every later instruction starts at or
                 # above it, so cycles below it are final.  ``retire_prev``
-                # guards the retirement map the same way.
-                horizon = min(dispatch_floor, retire_prev) - 8192
-                # Slot attribution for cycles below the horizon is final (no
-                # later instruction can issue there): fold it into the
-                # totals before the usage counts are trimmed away.
-                if attribute and horizon > attribution.flushed_until:
+                # guards the retirement frontier the same way.
+                if attribute:
                     attribution.frontier = frontier
-                    self._flush_attribution(horizon)
-                if horizon > trim_mark:
-                    span = horizon - trim_mark
-                    for counters in (issue_used, ialu_used, rot_used,
-                                     mul_used, dport_used, retire_used,
-                                     *sport_used):
-                        if not counters:
-                            continue
-                        if len(counters) * 4 > span:
-                            # Dense map: walk the dead cycle range (cycles
-                            # are monotone, so each is visited once ever).
-                            pop = counters.pop
-                            for cycle in range(trim_mark, horizon):
-                                pop(cycle, None)
-                        else:
-                            # Sparse map: scanning its keys is cheaper than
-                            # walking the range.
-                            for cycle in [c for c in counters
-                                          if c < horizon]:
-                                del counters[cycle]
-                    trim_mark = horizon
-                memorder.prune_store_map(memorder.store_count)
+                self._prune_maps(min(dispatch_floor, retire_prev) - 8192,
+                                 memorder.store_count)
 
-        # ---- write carried scalar state back to the stage components ------
+        # ---- write carried state back to the stage components -------------
         frontend.fetch_cycle = fetch_cycle
         frontend.fetch_slots_used = fetch_slots_used
         frontend.fetch_groups_used = fetch_groups_used
         frontend.mispredict_until = mispredict_until
         scheduler.retire_prev = retire_prev
+        scheduler.retire_count = retire_count
         scheduler.max_complete = max_complete
         scheduler.prune_mark = prune_mark
-        scheduler.trim_mark = trim_mark
         memorder.last_store_addr_known = last_store_addr_known
         memorder.sync_barrier = sync_barrier
         if attribute:
             attribution.frontier = frontier
-        self._count += hi - lo
+        stats.loads += loads
+        stats.stores += stores
+        stats.sbox_accesses += sbox_accesses
+        stats.store_forwards += store_forwards
+        stats.branches += branches
+        stats.mispredictions += mispredictions
+        stats.sbox_cache_misses += sbox_cache_misses
 
 
 class GenericEngine:

@@ -1034,7 +1034,6 @@ class SpecializedPipeline(PipelineBase):
         fast = self._fast
         if taken_arr is not None or fast is None:
             self._slow(seq, addrs, taken_arr, base_pos, lo, hi, next_s)
-            self._count += hi - lo
             return
         j = lo
         while j < hi:
@@ -1044,7 +1043,6 @@ class SpecializedPipeline(PipelineBase):
             # The window at j matches no block: interpret one entry.
             self._slow(seq, addrs, None, base_pos, j, j + 1, next_s)
             j += 1
-        self._count += hi - lo
 
     def _finalize_engine(self):
         if not self._attribute:
@@ -1057,13 +1055,6 @@ class SpecializedPipeline(PipelineBase):
                 for s in range(block.leader, block.leader + block.length):
                     exec_counts[s] += count
         self._block_execs = [0] * len(self._ir.blocks)
-        # Neither path updates wait_totals incrementally; it is exactly
-        # the column sums of the per-instruction wait rows (the generic
-        # engine adds identical deltas to both in lockstep).
-        wait_totals = self.attribution.wait_totals
-        for row in self.attribution.hot.values():
-            for index in range(_N_WAIT):
-                wait_totals[index] += row[index]
 
     def _flush_attribution(self, until: int) -> None:
         """List-indexed flush: labels live at ``cycle - _ra_base``.

@@ -64,13 +64,11 @@ class SchedulerState:
     ``retire_prev``/``retire_count`` track the in-order retirement
     frontier: because retirement cycles are non-decreasing, only the
     frontier cycle can ever receive another retirement, so a scalar count
-    at that cycle is equivalent to the per-cycle ``retire_used`` map (the
-    generic engine keeps the map, the specialized engine the scalar; both
-    produce the same retirement cycles).
+    of the retirements at that cycle stands in for a per-cycle retire map.
     """
 
     __slots__ = ("issue_used", "ialu_used", "rot_used", "mul_used",
-                 "dport_used", "sport_used", "retire_used", "no_fu",
+                 "dport_used", "sport_used", "no_fu",
                  "reg_ready", "retire_ring", "retire_prev", "retire_count",
                  "max_complete", "prune_mark", "trim_mark")
 
@@ -81,7 +79,6 @@ class SchedulerState:
         self.mul_used: dict[int, int] = {}
         self.dport_used: dict[int, int] = {}
         self.sport_used = [dict() for _ in range(config.sbox_caches or 0)]
-        self.retire_used: dict[int, int] = {}
         self.no_fu: dict[int, int] = {}
         max_reg = 31
         for d in static.dest:
@@ -187,15 +184,22 @@ class MemoryOrderState:
 
 
 class AttributionState:
-    """Stall-attribution stage: cycle labels and the running slot account."""
+    """Stall-attribution stage: cycle labels and the running slot account.
 
-    __slots__ = ("reason_at", "stall_slots", "wait_totals", "frontier",
+    The machine-view frontier only advances and labels each cycle below
+    it exactly once, so the labels form an append-only list: ``labels[i]``
+    is the stall category of cycle ``label_base + i``.  ``hot`` holds one
+    row of wait cycles per static instruction; the whole-run wait totals
+    are its column sums, taken once at finish.
+    """
+
+    __slots__ = ("labels", "label_base", "stall_slots", "frontier",
                  "flushed_until", "hot", "exec_counts")
 
     def __init__(self, static: StaticInfo):
-        self.reason_at: dict[int, int] = {}
+        self.labels: list[int] = []
+        self.label_base = 0
         self.stall_slots = [0] * len(STALL_CATEGORIES)
-        self.wait_totals = [0] * _N_WAIT
         self.frontier = 0
         self.flushed_until = 0
         self.hot: dict[int, list[int]] = {}
@@ -286,6 +290,9 @@ class PipelineBase:
         n = len(seq)
         if n == 0:
             return
+        # Every entry is processed by the time finish() returns: all but
+        # the deferred last one now, that one with the next chunk.
+        self._count += n
         if self._carry is not None:
             cseq, caddrs, cstart, cidx = self._carry
             self._carry = None
@@ -345,10 +352,11 @@ class PipelineBase:
                 name: attribution.stall_slots[index]
                 for index, name in enumerate(STALL_CATEGORIES)
             }
-            stats.wait_cycles = {
-                name: attribution.wait_totals[index]
-                for index, name in enumerate(WAIT_CATEGORIES)
-            }
+            wait_totals = [0] * _N_WAIT
+            for row in attribution.hot.values():
+                for index in range(_N_WAIT):
+                    wait_totals[index] += row[index]
+            stats.wait_cycles = dict(zip(WAIT_CATEGORIES, wait_totals))
             stats.hotspots = _hotspot_table(
                 self.program, attribution.hot, attribution.exec_counts
             )
@@ -365,18 +373,68 @@ class PipelineBase:
 
         Safe once no future instruction can issue there (every cycle below
         the prune horizon, and everything at the end of the run).  Cycles
-        past the last labeled one are retirement drain.
+        past the last labeled one are retirement drain.  Consumed labels
+        are trimmed off the front of the list, and flushed ``issue_used``
+        entries are popped as they are read, which doubles as the trim
+        for that map (:meth:`_prune_maps` skips it accordingly).
         """
         attribution = self.attribution
+        labels = attribution.labels
+        base = attribution.label_base
         issue_width = self._issue_width
-        pop_reason = attribution.reason_at.pop
-        get_used = self.scheduler.issue_used.get
+        pop_used = self.scheduler.issue_used.pop
         stall_slots = attribution.stall_slots
-        for cycle in range(attribution.flushed_until, until):
-            stall_slots[pop_reason(cycle, _C_DRAIN)] += (
-                issue_width - get_used(cycle, 0)
-            )
+        flushed = attribution.flushed_until
+        split = min(until, base + len(labels))
+        if split < flushed:
+            split = flushed
+        cycle = flushed
+        for cat in labels[flushed - base:split - base]:
+            stall_slots[cat] += issue_width - pop_used(cycle, 0)
+            cycle += 1
+        for cycle in range(split, until):
+            stall_slots[_C_DRAIN] += issue_width - pop_used(cycle, 0)
         attribution.flushed_until = until
+        if until > base:
+            del labels[:until - base]
+            attribution.label_base = until
+
+    def _prune_maps(self, horizon: int, store_count: int) -> None:
+        """Fold cycles below ``horizon`` and drop dead map entries.
+
+        Every resource probe of every later instruction starts at or above
+        ``horizon``, so stats are invariant to *when* pruning happens.
+        ``store_count`` is the caller's running store count.  The maps are
+        mutated in place, so references pinned in an engine's locals stay
+        valid.
+        """
+        scheduler = self.scheduler
+        if self._attribute and horizon > self.attribution.flushed_until:
+            self._flush_attribution(horizon)
+        trim_mark = scheduler.trim_mark
+        if horizon > trim_mark:
+            span = horizon - trim_mark
+            # issue_used is not listed: the attribution flush above pops
+            # its entries as it reads them (and without attribution the
+            # map is never populated).
+            for counters in (scheduler.ialu_used, scheduler.rot_used,
+                             scheduler.mul_used, scheduler.dport_used,
+                             *scheduler.sport_used):
+                if not counters:
+                    continue
+                if len(counters) * 4 > span:
+                    # Dense map: walk the dead cycle range (cycles are
+                    # monotone, so each is visited once ever).
+                    pop = counters.pop
+                    for cycle in range(trim_mark, horizon):
+                        pop(cycle, None)
+                else:
+                    # Sparse map: scanning its keys is cheaper than
+                    # walking the range.
+                    for cycle in [c for c in counters if c < horizon]:
+                        del counters[cycle]
+            scheduler.trim_mark = horizon
+        self.memorder.prune_store_map(store_count)
 
     def _finalize_engine(self) -> None:
         """Hook: fold engine-private accumulators into the stage state.

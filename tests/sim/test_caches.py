@@ -1,6 +1,8 @@
 """Unit tests for the cache hierarchy, TLB and next-line prefetcher."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.caches import MemoryHierarchy, SetAssociativeCache, TLB
 
@@ -98,3 +100,63 @@ def test_warm_installs_everything():
     extra = sum(hierarchy.access(a) for a in range(0x1000, 0x2000, 32))
     assert extra == 0
     assert hierarchy.l1.misses == 0
+
+
+# -- the all-hit fast path against the general path -------------------------
+
+def reference_access(hierarchy, address, is_store=False):
+    """``MemoryHierarchy.access`` without its all-hit fast path."""
+    extra = 0
+    if not hierarchy.tlb.access(address):
+        extra += hierarchy.tlb_miss_latency
+    if hierarchy.next_line_prefetch:
+        next_line = address + hierarchy.l1.block
+        if not hierarchy.l1.probe(next_line):
+            hierarchy.l1.install(next_line)
+            hierarchy.l2.install(next_line)
+    if hierarchy.l1.access(address):
+        return extra if not is_store else 0
+    if hierarchy.l2.access(address):
+        extra += hierarchy.l2_hit_latency
+    else:
+        extra += hierarchy.l2_hit_latency + hierarchy.memory_latency
+    return extra if not is_store else 0
+
+
+def _small_hierarchy(prefetch):
+    """Few sets and ways everywhere, so evictions are common."""
+    return MemoryHierarchy(
+        l1_size=256, l1_assoc=2, l1_block=32,
+        l2_size=1024, l2_assoc=2, l2_block=32,
+        tlb_entries=4, tlb_assoc=2, page_size=256,
+        next_line_prefetch=prefetch,
+    )
+
+
+def _state(hierarchy):
+    caches = (hierarchy.l1, hierarchy.l2, hierarchy.tlb.cache)
+    return ([(cache.hits, cache.misses) for cache in caches],
+            [cache.sets for cache in caches])
+
+
+@st.composite
+def access_streams(draw):
+    """Loads and stores clustered around a few bases, so lines, next lines
+    and pages are revisited while others are evicted."""
+    bases = draw(st.lists(st.integers(0, 1 << 14), min_size=1, max_size=4))
+    access = st.tuples(st.sampled_from(bases), st.integers(0, 160),
+                       st.booleans())
+    return [(base + offset, is_store)
+            for base, offset, is_store in draw(
+                st.lists(access, min_size=1, max_size=300))]
+
+
+@given(access_streams(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_fast_path_matches_general_path(stream, prefetch):
+    fast = _small_hierarchy(prefetch)
+    reference = _small_hierarchy(prefetch)
+    for address, is_store in stream:
+        assert fast.access(address, is_store) == \
+            reference_access(reference, address, is_store)
+        assert _state(fast) == _state(reference)
