@@ -14,21 +14,16 @@ generic interpreter re-derives per dynamic instruction:
 * issue/FU checks for unlimited resources are elided entirely, as is the
   whole attribution pass on machines without slot accounting;
 * register-ready times live in locals, the store-queue byte-map probes
-  and pushes are unrolled per access, retirement uses the scalar
-  frontier (see :class:`~repro.sim.timing.stages.SchedulerState`), and
-  the cache hierarchy's all-hit path (TLB hit + next-line resident + L1
-  hit) is inlined with a pure probe-then-commit sequence that leaves the
-  hierarchy state exactly as ``MemoryHierarchy.access`` would;
-* stall labels append to a frontier-ordered list (the machine-view
-  frontier only ever advances, labeling each cycle exactly once), and
-  per-instruction wait rows are pinned as locals, with ``wait_totals``
-  recovered at finish as their column sums.
+  and pushes are unrolled per access, and the cache hierarchy's all-hit
+  path (the one ``MemoryHierarchy.access`` tests first) is inlined;
+* per-instruction wait rows are pinned as locals.
 
-Trace windows that do not match a block -- chunk-boundary tails,
-synthetic traces with explicit ``taken`` flags, static indices outside
-the program -- fall back to :meth:`SpecializedPipeline._slow`, a
-per-entry port of the generic loop over the *same* stage state, so fast
-and slow segments interleave freely.
+The generated code advances the same stage state the generic engine
+does (:mod:`repro.sim.timing.stages`).  Trace windows that do not match
+a block -- chunk-boundary tails, synthetic traces with explicit
+``taken`` flags, static indices outside the program -- are stepped
+through the generic engine's loop itself, so fast and slow segments
+interleave freely.
 
 The output contract is bit-identical :class:`~repro.sim.stats.SimStats`
 against the ``"generic"`` engine for every config, trace and chunking
@@ -46,25 +41,9 @@ from array import array
 from dataclasses import dataclass, field
 
 from repro.sim.config import MachineConfig
+from repro.sim.timing.generic import GenericPipeline
 from repro.sim.timing.ir import TimingIR, timing_ir
-from repro.sim.timing.stages import (
-    _C_ALIAS,
-    _C_DRAIN,
-    _C_FETCH,
-    _C_FRONTEND,
-    _C_FU_IALU,
-    _C_FU_MEM,
-    _C_FU_MUL,
-    _C_FU_ROT,
-    _C_FU_SBOX,
-    _C_ISSUE,
-    _C_MISPREDICT,
-    _C_OPERAND,
-    _C_WINDOW,
-    _N_WAIT,
-    _UNLIMITED,
-    PipelineBase,
-)
+from repro.sim.timing.stages import _N_WAIT, _UNLIMITED
 from repro.sim.trace import SEQ_TYPECODE
 
 #: Optimization counters incremented by the code generator (the
@@ -433,7 +412,7 @@ def _generate(ir: TimingIR, static, config: MachineConfig, func_name: str):
         w(1, "pmi = 0")
     if attribute:
         w(1, "att = self.attribution")
-        w(1, "raa = self._ra.append")
+        w(1, "raa = att.labels.append")
         w(1, "fr = att.frontier")
         w(1, "hot = att.hot")
         w(1, "bexec = self._block_execs")
@@ -989,16 +968,15 @@ def _generate(ir: TimingIR, static, config: MachineConfig, func_name: str):
     return source, counters, dict(expects)
 
 
-class SpecializedPipeline(PipelineBase):
-    """Block-specialized pipeline: generated fast path + interpreter tail.
+class SpecializedPipeline(GenericPipeline):
+    """Block-specialized pipeline: generated fast path + generic tail.
 
     ``_advance`` hands each trace window to the generated scheduler, which
     consumes whole matched blocks; whenever the window stops matching (a
     chunk boundary mid-block, a synthetic trace, a static index outside
-    the program) one entry is stepped through :meth:`_slow` -- a per-entry
-    port of the generic loop over the same state representations (byte
-    store map, scalar retire frontier) -- and the fast path resumes.
-    Chunks with explicit ``taken`` flags go entirely through ``_slow``.
+    the program) one entry is stepped through the inherited generic loop
+    and the fast path resumes.  Chunks with explicit ``taken`` flags go
+    entirely through the generic loop.
     """
 
     engine_name = "specialized"
@@ -1023,17 +1001,11 @@ class SpecializedPipeline(PipelineBase):
             self._ir, static, config
         )
         self._block_execs = [0] * len(self._ir.blocks)
-        # Machine-view stall labels: the attribution frontier advances
-        # monotonically and labels each cycle exactly once, so the
-        # ``reason_at`` dict becomes an append-only list where index
-        # ``cycle - _ra_base`` holds the label for ``cycle``.
-        self._ra: list[int] = []
-        self._ra_base = 0
 
     def _advance(self, seq, addrs, taken_arr, base_pos, lo, hi, next_s):
         fast = self._fast
         if taken_arr is not None or fast is None:
-            self._slow(seq, addrs, taken_arr, base_pos, lo, hi, next_s)
+            super()._advance(seq, addrs, taken_arr, base_pos, lo, hi, next_s)
             return
         j = lo
         while j < hi:
@@ -1041,7 +1013,7 @@ class SpecializedPipeline(PipelineBase):
             if j >= hi:
                 break
             # The window at j matches no block: interpret one entry.
-            self._slow(seq, addrs, None, base_pos, j, j + 1, next_s)
+            super()._advance(seq, addrs, None, base_pos, j, j + 1, next_s)
             j += 1
 
     def _finalize_engine(self):
@@ -1055,453 +1027,6 @@ class SpecializedPipeline(PipelineBase):
                 for s in range(block.leader, block.leader + block.length):
                     exec_counts[s] += count
         self._block_execs = [0] * len(self._ir.blocks)
-
-    def _flush_attribution(self, until: int) -> None:
-        """List-indexed flush: labels live at ``cycle - _ra_base``.
-
-        Identical account to the base dict flush; cycles past the last
-        appended label are retirement drain, and consumed labels are
-        trimmed off the front of the list.  Flushed ``issue_used``
-        entries are popped as they are read -- no future instruction can
-        issue below the flush horizon, so this doubles as the trim for
-        that map (:meth:`_prune_maps` skips it accordingly).
-        """
-        attribution = self.attribution
-        labels = self._ra
-        base = self._ra_base
-        issue_width = self._issue_width
-        pop_used = self.scheduler.issue_used.pop
-        stall_slots = attribution.stall_slots
-        flushed = attribution.flushed_until
-        split = min(until, base + len(labels))
-        if split < flushed:
-            split = flushed
-        cycle = flushed
-        for cat in labels[flushed - base:split - base]:
-            stall_slots[cat] += issue_width - pop_used(cycle, 0)
-            cycle += 1
-        for cycle in range(split, until):
-            stall_slots[_C_DRAIN] += issue_width - pop_used(cycle, 0)
-        attribution.flushed_until = until
-        if until > base:
-            del labels[:until - base]
-            self._ra_base = until
-
-    def _prune_maps(self, horizon: int, store_count: int) -> None:
-        """Fold finalized cycles and drop dead map entries.
-
-        Identical in effect to the generic engine's inline prune (stats
-        are invariant to *when* pruning happens); mutates the resource
-        dicts and the store byte map in place so the generated code's
-        pinned references stay valid.
-        """
-        scheduler = self.scheduler
-        if (self._attribute
-                and horizon > self.attribution.flushed_until):
-            self._flush_attribution(horizon)
-        trim_mark = scheduler.trim_mark
-        if horizon > trim_mark:
-            span = horizon - trim_mark
-            # issue_used is not listed: the attribution flush above pops
-            # its entries as it reads them (and without attribution the
-            # map is never populated).
-            for counters in (scheduler.ialu_used,
-                             scheduler.rot_used, scheduler.mul_used,
-                             scheduler.dport_used, *scheduler.sport_used):
-                if not counters:
-                    continue
-                if len(counters) * 4 > span:
-                    pop = counters.pop
-                    for cycle in range(trim_mark, horizon):
-                        pop(cycle, None)
-                else:
-                    for cycle in [c for c in counters if c < horizon]:
-                        del counters[cycle]
-            scheduler.trim_mark = horizon
-        self.memorder.prune_store_map(store_count)
-
-    def _slow(self, seq, addrs, taken_arr, base_pos, lo, hi, next_s):
-        """Per-entry interpreter over this engine's state representations.
-
-        A direct port of ``GenericPipeline._advance`` with retirement as
-        the scalar frontier; used for single-entry repairs between
-        fast-path runs and for whole windows the fast path cannot take.
-        Does not bump ``self._count`` (the ``_advance`` driver does, once
-        per window).
-        """
-        config = self.config
-        static = self.static
-        stats = self.stats
-        frontend = self.frontend
-        scheduler = self.scheduler
-        memorder = self.memorder
-        attribution = self.attribution
-
-        klass = static.klass
-        dest = static.dest
-        srcs = static.srcs
-        addr_srcs = static.addr_srcs
-        is_branch = static.is_branch
-        is_cond = static.is_cond_branch
-        mem_size = static.mem_size
-        sbox_table = static.sbox_table
-        sbox_aliased = static.sbox_aliased
-
-        predictor = frontend.predictor
-        hierarchy = memorder.hierarchy
-        sbox_array = memorder.sbox_array
-
-        issue_used = scheduler.issue_used
-        ialu_used = scheduler.ialu_used
-        rot_used = scheduler.rot_used
-        mul_used = scheduler.mul_used
-        dport_used = scheduler.dport_used
-        sport_used = scheduler.sport_used
-        _no_fu = scheduler.no_fu
-        reg_ready = scheduler.reg_ready
-        retire_ring = scheduler.retire_ring
-        retire_prev = scheduler.retire_prev
-        retire_count = scheduler.retire_count
-        max_complete = scheduler.max_complete
-        prune_mark = scheduler.prune_mark
-
-        issue_width = self._issue_width
-        num_ialu = self._num_ialu
-        num_rot = self._num_rot
-        mul_slots = self._mul_slots
-        dports = self._dports
-        retire_width = self._retire_width
-        sbox_ports = self._sbox_ports
-        track_issue = self._track_issue
-        attribute = self._attribute
-        if track_issue:
-            # A cost-1 pool at least as wide as issue can never be the
-            # binding constraint (per-cycle pool use <= issue use, which
-            # the issue check keeps below the pool limit), so skip its
-            # checks and bookkeeping -- same elision as the fast path.
-            if num_ialu >= issue_width:
-                num_ialu = _UNLIMITED
-            if num_rot >= issue_width:
-                num_rot = _UNLIMITED
-            if dports >= issue_width:
-                dports = _UNLIMITED
-            if sbox_ports >= issue_width:
-                sbox_ports = _UNLIMITED
-        window = config.window_size
-        frontend_depth = config.frontend_depth
-        alu_lat = config.alu_latency
-        rot_lat = config.rotator_latency
-        load_lat = config.load_latency
-        store_lat = config.store_latency
-        perfect_alias = config.perfect_alias
-        prune_interval = config.prune_interval
-
-        fetch_cycle = frontend.fetch_cycle
-        fetch_slots_used = frontend.fetch_slots_used
-        fetch_groups_used = frontend.fetch_groups_used
-        mispredict_until = frontend.mispredict_until
-        fetch_width = config.fetch_width
-        groups_per_cycle = config.fetch_groups_per_cycle
-        break_on_taken = config.fetch_break_on_taken
-
-        last_store_addr_known = memorder.last_store_addr_known
-        probe_stores = memorder.probe_stores
-        push_store = memorder.push_store
-        sync_barrier = memorder.sync_barrier
-
-        bumps: list[int] = []
-        if attribute:
-            label_append = self._ra.append
-            frontier = attribution.frontier
-            hot = attribution.hot
-            exec_counts = attribution.exec_counts
-        else:
-            frontier = 0
-
-        def issue_at(cycle: int, fu_used: dict, fu_limit: int,
-                     cost: int = 1, fu_cat: int = _C_ISSUE) -> int:
-            if attribute:
-                bumps.clear()
-            while True:
-                if track_issue and issue_used.get(cycle, 0) >= issue_width:
-                    if attribute:
-                        bumps.append(_C_ISSUE)
-                    cycle += 1
-                    continue
-                if (fu_limit != _UNLIMITED
-                        and fu_used.get(cycle, 0) + cost > fu_limit):
-                    if attribute:
-                        bumps.append(fu_cat)
-                    cycle += 1
-                    continue
-                break
-            if track_issue:
-                issue_used[cycle] = issue_used.get(cycle, 0) + 1
-            if fu_limit != _UNLIMITED:
-                fu_used[cycle] = fu_used.get(cycle, 0) + cost
-            return cycle
-
-        seq_len = len(seq)
-
-        for j in range(lo, hi):
-            pos = base_pos + j
-            s = seq[j]
-            k = klass[s]
-
-            # ---- fetch ----------------------------------------------------
-            this_fetch = fetch_cycle
-            if fetch_width is not None:
-                if fetch_slots_used >= fetch_width:
-                    fetch_cycle += 1
-                    fetch_slots_used = 0
-                    fetch_groups_used = 0
-                    this_fetch = fetch_cycle
-                fetch_slots_used += 1
-
-            # ---- dispatch / operands --------------------------------------
-            enter = this_fetch + frontend_depth
-            earliest = enter
-            if window:
-                freed = retire_ring[pos % window]
-                if freed > earliest:
-                    earliest = freed
-            dispatch_floor = earliest
-            for r in srcs[s]:
-                t = reg_ready[r]
-                if t > earliest:
-                    earliest = t
-
-            # ---- issue + execute ------------------------------------------
-            if k == "ialu":
-                operand_end = request = earliest
-                issued = issue_at(request, ialu_used, num_ialu,
-                                  fu_cat=_C_FU_IALU)
-                complete = issued + alu_lat
-            elif k == "rotator":
-                operand_end = request = earliest
-                issued = issue_at(request, rot_used, num_rot,
-                                  fu_cat=_C_FU_ROT)
-                complete = issued + rot_lat
-            elif k == "load":
-                addr_ready = earliest + 1
-                operand_end = addr_ready
-                if not perfect_alias and last_store_addr_known > addr_ready:
-                    addr_ready = last_store_addr_known
-                addr = addrs[j]
-                forward = probe_stores(addr, mem_size[s])
-                if forward:
-                    request = max(addr_ready, forward)
-                    issued = issue_at(request, _no_fu, _UNLIMITED)
-                    complete = issued + 1
-                    stats.store_forwards += 1
-                else:
-                    request = addr_ready
-                    issued = issue_at(request, dport_used, dports,
-                                      fu_cat=_C_FU_MEM)
-                    extra = 0
-                    if hierarchy is not None:
-                        extra = hierarchy.access(addr)
-                    complete = issued + (load_lat - 1) + extra
-                stats.loads += 1
-            elif k == "store":
-                addr_known = dispatch_floor
-                for r in addr_srcs[s]:
-                    t = reg_ready[r]
-                    if t > addr_known:
-                        addr_known = t
-                addr_known += 1
-                operand_end = request = max(earliest, addr_known)
-                issued = issue_at(request, dport_used, dports,
-                                  fu_cat=_C_FU_MEM)
-                addr = addrs[j]
-                if hierarchy is not None:
-                    hierarchy.access(addr, is_store=True)
-                complete = issued + store_lat
-                if not perfect_alias and addr_known > last_store_addr_known:
-                    last_store_addr_known = addr_known
-                push_store(addr, mem_size[s], complete)
-                stats.stores += 1
-            elif k == "sbox":
-                aliased = sbox_aliased[s]
-                addr = addrs[j]
-                stats.sbox_accesses += 1
-                operand_end = earliest
-                access_ready = earliest
-                if (aliased and not perfect_alias
-                        and last_store_addr_known > access_ready):
-                    access_ready = last_store_addr_known
-                if not aliased and sync_barrier > access_ready:
-                    access_ready = sync_barrier
-                forward = probe_stores(addr, 4) if aliased else 0
-                if forward:
-                    request = max(access_ready, forward)
-                    issued = issue_at(request, _no_fu, _UNLIMITED)
-                    complete = issued + 1
-                    stats.store_forwards += 1
-                elif (sbox_array is not None and not aliased
-                      and sbox_table[s] < sbox_array.count):
-                    table = sbox_table[s]
-                    port = table % sbox_array.count
-                    request = access_ready
-                    issued = issue_at(request, sport_used[port], sbox_ports,
-                                      fu_cat=_C_FU_SBOX)
-                    if sbox_array.access(table, addr):
-                        complete = issued + config.sbox_cache_latency
-                    else:
-                        stats.sbox_cache_misses += 1
-                        complete = (issued + config.sbox_cache_latency
-                                    + config.sbox_dcache_latency)
-                else:
-                    request = access_ready
-                    issued = issue_at(request, dport_used, dports,
-                                      fu_cat=_C_FU_MEM)
-                    extra = 0
-                    if hierarchy is not None:
-                        extra = hierarchy.access(addr)
-                    complete = issued + config.sbox_dcache_latency + extra
-            elif k == "mul32":
-                operand_end = request = earliest
-                issued = issue_at(request, mul_used, mul_slots,
-                                  config.mul32_cost, fu_cat=_C_FU_MUL)
-                complete = issued + config.mul32_latency
-            elif k == "mul64":
-                operand_end = request = earliest
-                issued = issue_at(request, mul_used, mul_slots,
-                                  config.mul64_cost, fu_cat=_C_FU_MUL)
-                complete = issued + config.mul64_latency
-            elif k == "mulmod":
-                operand_end = request = earliest
-                issued = issue_at(request, mul_used, mul_slots,
-                                  config.mulmod_cost, fu_cat=_C_FU_MUL)
-                complete = issued + config.mulmod_latency
-            elif k == "sync":
-                operand_end = request = earliest
-                issued = issue_at(request, _no_fu, _UNLIMITED)
-                complete = issued + 1
-                if sbox_array is not None:
-                    sbox_array.sync(sbox_table[s])
-                sync_barrier = complete
-            else:
-                operand_end = request = earliest
-                issued = issue_at(request, _no_fu, _UNLIMITED)
-                complete = issued + alu_lat
-
-            # ---- stall attribution ----------------------------------------
-            if attribute:
-                exec_counts[s] += 1
-                if issued > frontier:
-                    for cycle in range(frontier, issued):
-                        if cycle < this_fetch:
-                            cat = (_C_MISPREDICT if cycle < mispredict_until
-                                   else _C_FETCH)
-                        elif cycle < enter:
-                            cat = _C_FRONTEND
-                        elif cycle < dispatch_floor:
-                            cat = _C_WINDOW
-                        elif cycle < operand_end:
-                            cat = _C_OPERAND
-                        elif cycle < request:
-                            cat = _C_ALIAS
-                        else:
-                            cat = bumps[cycle - request]
-                        label_append(cat)
-                    frontier = issued
-                window_wait = dispatch_floor - enter
-                operand_wait = operand_end - dispatch_floor
-                alias_wait = request - operand_end
-                if window_wait or operand_wait or alias_wait or bumps:
-                    row = hot.get(s)
-                    if row is None:
-                        row = hot[s] = [0] * _N_WAIT
-                    row[_C_WINDOW - _C_WINDOW] += window_wait
-                    row[_C_OPERAND - _C_WINDOW] += operand_wait
-                    row[_C_ALIAS - _C_WINDOW] += alias_wait
-                    for cat in bumps:
-                        row[cat - _C_WINDOW] += 1
-
-            # ---- branch resolution / fetch redirect -----------------------
-            if is_branch[s]:
-                if taken_arr is not None:
-                    taken = bool(taken_arr[j])
-                else:
-                    jn = j + 1
-                    if jn < seq_len:
-                        taken = seq[jn] != s + 1
-                    elif next_s is None:
-                        taken = True
-                    else:
-                        taken = next_s != s + 1
-                stats.branches += 1
-                correct = True
-                if predictor is not None and is_cond[s]:
-                    correct = predictor.predict_and_update(s, taken)
-                if not correct:
-                    stats.mispredictions += 1
-                    redirect = complete + config.mispredict_penalty
-                    if redirect > fetch_cycle:
-                        fetch_cycle = redirect
-                        fetch_slots_used = 0
-                        fetch_groups_used = 0
-                        if redirect > mispredict_until:
-                            mispredict_until = redirect
-                elif taken and break_on_taken and fetch_width is not None:
-                    fetch_groups_used += 1
-                    if fetch_groups_used >= groups_per_cycle:
-                        fetch_cycle += 1
-                        fetch_slots_used = 0
-                        fetch_groups_used = 0
-
-            # ---- writeback / retire ---------------------------------------
-            d = dest[s]
-            if d >= 0:
-                reg_ready[d] = complete
-            if complete > max_complete:
-                max_complete = complete
-
-            r = complete + 1
-            if r < retire_prev:
-                r = retire_prev
-            if retire_width != _UNLIMITED:
-                # Scalar form of the per-cycle retire map: only the
-                # frontier cycle can fill (see SchedulerState docstring).
-                if r == retire_prev:
-                    if retire_count >= retire_width:
-                        r += 1
-                        retire_prev = r
-                        retire_count = 1
-                    else:
-                        retire_count += 1
-                else:
-                    retire_prev = r
-                    retire_count = 1
-            else:
-                retire_prev = r
-            if window:
-                retire_ring[pos % window] = r
-
-            # ---- prune resource maps --------------------------------------
-            if pos - prune_mark >= prune_interval:
-                prune_mark = pos
-                if attribute:
-                    attribution.frontier = frontier
-                self._prune_maps(
-                    min(dispatch_floor, retire_prev) - 8192,
-                    memorder.store_count,
-                )
-
-        # ---- write carried scalar state back ------------------------------
-        frontend.fetch_cycle = fetch_cycle
-        frontend.fetch_slots_used = fetch_slots_used
-        frontend.fetch_groups_used = fetch_groups_used
-        frontend.mispredict_until = mispredict_until
-        scheduler.retire_prev = retire_prev
-        scheduler.retire_count = retire_count
-        scheduler.max_complete = max_complete
-        scheduler.prune_mark = prune_mark
-        memorder.last_store_addr_known = last_store_addr_known
-        memorder.sync_barrier = sync_barrier
-        if attribute:
-            attribution.frontier = frontier
 
 
 class SpecializedEngine:
@@ -1524,8 +1049,6 @@ class SpecializedEngine:
         schedule_range=None,
     ):
         if schedule_range is not None:
-            from repro.sim.timing.generic import GenericPipeline
-
             return GenericPipeline(
                 config, static, program,
                 warm_ranges=warm_ranges, schedule_range=schedule_range,

@@ -68,7 +68,7 @@ class SchedulerState:
     """
 
     __slots__ = ("issue_used", "ialu_used", "rot_used", "mul_used",
-                 "dport_used", "sport_used", "no_fu",
+                 "dport_used", "sport_used",
                  "reg_ready", "retire_ring", "retire_prev", "retire_count",
                  "max_complete", "prune_mark", "trim_mark")
 
@@ -79,7 +79,6 @@ class SchedulerState:
         self.mul_used: dict[int, int] = {}
         self.dport_used: dict[int, int] = {}
         self.sport_used = [dict() for _ in range(config.sbox_caches or 0)]
-        self.no_fu: dict[int, int] = {}
         max_reg = 31
         for d in static.dest:
             if d > max_reg:
