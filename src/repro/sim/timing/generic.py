@@ -29,15 +29,15 @@ from repro.sim.timing.stages import (
     _C_MISPREDICT,
     _C_OPERAND,
     _C_WINDOW,
-    _N_WAIT,
     _UNLIMITED,
     PipelineBase,
 )
 
 # Plan class codes.  Every class but the memory ones and SYNC is _K_PLAIN:
 # issue on the plan's unit pool (if any), complete after its latency.
-(_K_PLAIN, _K_LOAD, _K_STORE, _K_SBOX_ALIASED, _K_SBOX_CACHE,
- _K_SBOX_DCACHE, _K_SYNC) = range(7)
+# STORE and SYNC come last: only they have work after issue.
+(_K_PLAIN, _K_LOAD, _K_SBOX_ALIASED, _K_SBOX_CACHE, _K_SBOX_DCACHE,
+ _K_STORE, _K_SYNC) = range(7)
 
 # Plan branch flags: conditional branches on a machine with a predictor
 # consult it; every other branch is predicted correctly.
@@ -376,10 +376,11 @@ class GenericPipeline(PipelineBase):
                         busy = pool.get(issued, 0)
                 pool[issued] = busy + cost
             complete = issued + latency
-            if code == _K_STORE:
-                push_store(addrs[j], mem_size[s], complete)
-            elif code == _K_SYNC:
-                sync_barrier = complete
+            if code >= _K_STORE:
+                if code == _K_STORE:
+                    push_store(addrs[j], mem_size[s], complete)
+                else:
+                    sync_barrier = complete
 
             # ---- stall attribution ----------------------------------------
             # ``bumps`` is only read when this instruction waited past its
@@ -406,18 +407,13 @@ class GenericPipeline(PipelineBase):
                             cat = bumps[cycle - request]
                         label(cat)
                     frontier = issued
-                # Instruction view: cycles *this* instruction spent blocked.
-                window_wait = dispatch_floor - enter
-                operand_wait = operand_end - dispatch_floor
-                alias_wait = request - operand_end
-                if window_wait or operand_wait or alias_wait or (
-                        issued > request):
-                    row = hot.get(s)
-                    if row is None:
-                        row = hot[s] = [0] * _N_WAIT
-                    row[_C_WINDOW - _C_WINDOW] += window_wait
-                    row[_C_OPERAND - _C_WINDOW] += operand_wait
-                    row[_C_ALIAS - _C_WINDOW] += alias_wait
+                # Instruction view: cycles *this* instruction spent blocked,
+                # which sum to issued - enter.
+                if issued > enter:
+                    row = hot[s]
+                    row[_C_WINDOW - _C_WINDOW] += dispatch_floor - enter
+                    row[_C_OPERAND - _C_WINDOW] += operand_end - dispatch_floor
+                    row[_C_ALIAS - _C_WINDOW] += request - operand_end
                     if issued > request:
                         for cat in bumps:
                             row[cat - _C_WINDOW] += 1

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from repro.sim.config import MachineConfig
 from repro.sim.timing.generic import GenericPipeline
 from repro.sim.timing.ir import TimingIR, timing_ir
-from repro.sim.timing.stages import _N_WAIT, _UNLIMITED
+from repro.sim.timing.stages import _UNLIMITED
 from repro.sim.trace import SEQ_TYPECODE
 
 #: Optimization counters incremented by the code generator (the
@@ -418,16 +418,12 @@ def _generate(ir: TimingIR, static, config: MachineConfig, func_name: str):
         w(1, "bexec = self._block_execs")
         w(1, "bumps = []")
         w(1, "ba = bumps.append")
-        # Pin one wait row per static instruction.  Creating a row that
-        # this call never touches is harmless: all-zero rows are skipped
-        # by the hotspot table and cannot displace a non-zero row.
+        # Pin one wait row per static instruction.
         for s in sorted({
             s for b in ir.blocks
             for s in range(b.leader, b.leader + b.length)
         }):
-            w(1, f"row{s} = hot.get({s})")
-            w(1, f"if row{s} is None:")
-            w(2, f"row{s} = hot[{s}] = [0] * {_N_WAIT}")
+            w(1, f"row{s} = hot[{s}]")
     else:
         count("attribution_elided", ir.n_instructions)
     w(1, "st = self.stats")

@@ -187,9 +187,9 @@ class AttributionState:
 
     The machine-view frontier only advances and labels each cycle below
     it exactly once, so the labels form an append-only list: ``labels[i]``
-    is the stall category of cycle ``label_base + i``.  ``hot`` holds one
-    row of wait cycles per static instruction; the whole-run wait totals
-    are its column sums, taken once at finish.
+    is the stall category of cycle ``label_base + i``.  ``hot[s]`` is the
+    row of wait cycles of static instruction ``s``; the whole-run wait
+    totals are the rows' column sums, taken once at finish.
     """
 
     __slots__ = ("labels", "label_base", "stall_slots", "frontier",
@@ -201,7 +201,7 @@ class AttributionState:
         self.stall_slots = [0] * len(STALL_CATEGORIES)
         self.frontier = 0
         self.flushed_until = 0
-        self.hot: dict[int, list[int]] = {}
+        self.hot = [[0] * _N_WAIT for _ in static.klass]
         self.exec_counts = [0] * len(static.klass)
 
 
@@ -352,14 +352,14 @@ class PipelineBase:
                 for index, name in enumerate(STALL_CATEGORIES)
             }
             wait_totals = [0] * _N_WAIT
-            for row in attribution.hot.values():
+            for row in attribution.hot:
                 for index in range(_N_WAIT):
                     wait_totals[index] += row[index]
             stats.wait_cycles = dict(zip(WAIT_CATEGORIES, wait_totals))
             stats.hotspots = _hotspot_table(
                 self.program, attribution.hot, attribution.exec_counts
             )
-            ranked = sum(1 for waits in attribution.hot.values()
+            ranked = sum(1 for waits in attribution.hot
                          if sum(waits))
             if ranked > len(stats.hotspots):
                 # Per-static deltas over a clipped table can't sum to the
@@ -456,7 +456,7 @@ class PipelineBase:
         raise NotImplementedError
 
 
-def _hotspot_table(program: Program, hot: dict, exec_counts: list) -> list[dict]:
+def _hotspot_table(program: Program, hot: list, exec_counts: list) -> list[dict]:
     """Rank static instructions by accumulated wait cycles (top N).
 
     Window-entry waits rank last: they measure the machine's dispatch
@@ -464,12 +464,9 @@ def _hotspot_table(program: Program, hot: dict, exec_counts: list) -> list[dict]
     so operand/alias/contention waits -- the paper's actual per-operation
     bottlenecks -- are the primary sort key.
     """
-    # The static index breaks ties deterministically: engines accumulate
-    # rows in different orders (the specialized engine pre-creates every
-    # block's rows), so a stable sort alone would leak insertion order
-    # into the table.
+    # The static index breaks ties deterministically.
     ranked = sorted(
-        hot.items(),
+        enumerate(hot),
         key=lambda item: (-sum(item[1][1:]), -sum(item[1]), item[0]),
     )[:_HOTSPOT_LIMIT]
     # Synthetic traces (e.g. the multisession interleaver) carry static
