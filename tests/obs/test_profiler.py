@@ -98,8 +98,15 @@ def test_profiler_samples_only_the_starting_thread():
         busy_cipher_work(0.15)
     stop.set()
     noise.join()
-    # The idle noise thread would have classified as "other".
-    assert profiler.subsystem_samples.get("other", 0) == 0
+    # Every sample is a stack of this test's thread: it passes through this
+    # function's frame.  The noise thread's stacks start at its bootstrap.
+    # (Which subsystem a sample lands in is not the property: the busy
+    # loop's own deadline checks in this file classify as "other".)
+    here = "test_profiler:test_profiler_samples_only_the_starting_thread"
+    assert profiler.samples > 0
+    for stack in profiler.stack_samples:
+        assert here in stack, stack
+        assert stack[0] != "threading:_bootstrap", stack
 
 
 def test_collapsed_stack_format():
