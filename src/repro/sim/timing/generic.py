@@ -256,7 +256,8 @@ class GenericPipeline(PipelineBase):
             # ---- dispatch / operands --------------------------------------
             enter = earliest = this_fetch + frontend_depth
             if window:
-                freed = retire_ring[pos % window]
+                slot = pos % window
+                freed = retire_ring[slot]
                 if freed > earliest:
                     earliest = freed
             dispatch_floor = earliest
@@ -465,7 +466,7 @@ class GenericPipeline(PipelineBase):
             else:
                 retire_count += 1
             if window:
-                retire_ring[pos % window] = retire_prev
+                retire_ring[slot] = retire_prev
             if schedule is not None and sched_start <= pos < sched_end:
                 # dispatch_floor = window entry (fetch throttled by ROB
                 # space), the honest "F" column for visualization.
