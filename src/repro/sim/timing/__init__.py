@@ -74,9 +74,10 @@ the :class:`TimingEngine` protocol, registered on the same
   (:mod:`repro.sim.timing.generic`); handles every config and trace shape.
 * ``"specialized"`` -- per-(program, config) generated schedulers over the
   static timing IR (:mod:`repro.sim.timing.ir`,
-  :mod:`repro.sim.timing.specialized`); bit-identical to ``"generic"``
-  (``tests/sim/test_timing_engines.py``) and several times faster on the
-  streaming path.
+  :mod:`repro.sim.timing.specialized`), falling back to the generic loop
+  for windows the generated code cannot take; bit-identical to
+  ``"generic"`` (``tests/sim/test_timing_engines.py``), and faster only
+  once a long trace amortizes its code generation (``docs/timing.md``).
 
 Engines differ only in how fast they advance the stage state; every
 result above -- including the stall account -- is engine-invariant.

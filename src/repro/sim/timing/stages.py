@@ -464,10 +464,10 @@ def _hotspot_table(program: Program, hot: list, exec_counts: list) -> list[dict]
     so operand/alias/contention waits -- the paper's actual per-operation
     bottlenecks -- are the primary sort key.
     """
-    # The static index breaks ties deterministically.
+    # The sort is stable over static-index order, so ties rank by index.
     ranked = sorted(
         enumerate(hot),
-        key=lambda item: (-sum(item[1][1:]), -sum(item[1]), item[0]),
+        key=lambda item: (-sum(item[1][1:]), -sum(item[1])),
     )[:_HOTSPOT_LIMIT]
     # Synthetic traces (e.g. the multisession interleaver) carry static
     # entries beyond their nominal program's instruction list.
