@@ -336,6 +336,8 @@ def _generate(ir: TimingIR, static, config: MachineConfig, func_name: str):
     uses_ialu = uses_ialu and num_ialu != _UNLIMITED
     uses_rot = uses_rot and num_rot != _UNLIMITED
     uses_mul = uses_mul and mul_slots != _UNLIMITED
+    unit_cost_muls = (config.mul32_cost == config.mul64_cost
+                      == config.mulmod_cost == 1)
     use_sports = bool(used_sports) and sbox_ports != _UNLIMITED
 
     def w(indent: int, text: str = "") -> None:
@@ -447,17 +449,19 @@ def _generate(ir: TimingIR, static, config: MachineConfig, func_name: str):
 
         Emitted as a straight-line common case (free slot and free unit at
         the request cycle) with the bump loop in a rarely-taken branch.
-        A unit pool with ``cost == 1`` and ``limit >= issue_width`` can
-        never be the binding constraint -- the pool's per-cycle use is
-        bounded by the issue count, which the (earlier) issue check keeps
-        below the pool limit -- so its checks *and* bookkeeping are elided
-        outright.
+        A unit pool whose every user costs 1 and whose limit is at least
+        ``issue_width`` can never be the binding constraint -- the pool's
+        per-cycle use is bounded by the issue count, which the (earlier)
+        issue check keeps below the pool limit -- so its checks *and*
+        bookkeeping are elided outright.  The multiplier pool qualifies
+        only when all three multiply costs are 1.
         """
         w(ind, f"c = {rq_expr}")
         if fu is not None and fu[2] == _UNLIMITED:
             fu = None
         if (fu is not None and track_issue and fu[3] == 1
-                and fu[2] >= issue_width):
+                and fu[2] >= issue_width
+                and (fu[1] != "mu" or unit_cost_muls)):
             count("fu_checks_elided")
             fu = None
         if track_issue and fu is not None:

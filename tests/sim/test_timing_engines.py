@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.isa import assemble
 from repro.kernels import KERNEL_NAMES
 from repro.kernels.registry import make_kernel
 from repro.obs.diffing import explain_stats_delta
@@ -99,6 +100,26 @@ def test_specialized_handles_taken_branch_slow_path():
     for config in CONFIGS:
         assert _stats(run, config, "specialized", 1) == \
             _stats(run, config, "generic")
+
+
+def test_mixed_cost_multiplier_pool_is_not_elided():
+    """A multiplier pool as wide as issue still binds when some multiply
+    costs two slots: two MULQs fill four slots, so a MULL must wait."""
+    program = assemble("ldiq r1, 3\nldiq r2, 5\n" + (
+        "mulq r1, r2, r3\nmulq r1, r2, r4\n"
+        "mull r1, r2, r5\nmull r1, r2, r6\n") * 20 + "halt\n")
+    trace = Machine(program, Memory(1 << 13)).execute().trace
+    static = StaticInfo.from_program(program)
+    config = FOURW.with_(name="4W-mul4", mul_slots=4)
+    results = {}
+    for engine in ("generic", "specialized"):
+        pipeline = make_pipeline(config, static, program, engine=engine)
+        for chunk in trace.chunks(None):
+            pipeline.feed(chunk)
+        results[engine] = pipeline.finish()
+    assert results["generic"].stall_slots["fu_mul"] > 0
+    assert results["specialized"] == results["generic"], explain_stats_delta(
+        results["generic"], results["specialized"], "generic", "specialized")
 
 
 # -- registry ---------------------------------------------------------------
