@@ -4,8 +4,9 @@
 [--no-cache]`` prints the complete reproduction of the paper's evaluation
 section.  Every experiment flows through one shared
 :class:`repro.runner.Runner`, so functional traces are simulated once,
-timing runs fan out across ``--jobs`` worker processes, and a re-run with a
-warm on-disk cache touches no simulator at all.  The benchmark suite under
+cold experiment groups fan out across ``--jobs`` worker processes (by
+default one per available core; ``--jobs 1`` runs serially), and a
+re-run with a warm on-disk cache touches no simulator at all.  The benchmark suite under
 ``benchmarks/`` calls the same entry points one experiment at a time.
 """
 

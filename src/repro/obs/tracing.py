@@ -4,9 +4,10 @@ The tracer records *complete* spans (``ph: "X"``), instant events
 (``ph: "i"``) and counter samples (``ph: "C"``) in the Chrome trace-event
 format, the JSON dialect both ``chrome://tracing`` and Perfetto's
 https://ui.perfetto.dev load directly.  Timestamps are microseconds from
-tracer creation; synthetic timelines (the pipeline schedule, where one
-cycle is mapped to one microsecond) inject events with explicit
-timestamps via :meth:`Tracer.add_events`.
+the tracer's origin (its creation, unless one is passed); synthetic
+timelines (the pipeline schedule, where one cycle is mapped to one
+microsecond) inject events with explicit timestamps via
+:meth:`Tracer.add_events`.
 
 Two sink formats, chosen by file suffix in :meth:`Tracer.write`:
 
@@ -27,9 +28,13 @@ from contextlib import contextmanager
 class Tracer:
     """Collects trace events; cheap enough to leave enabled in CLIs."""
 
-    def __init__(self, clock=time.perf_counter, pid: int | None = None):
+    def __init__(self, clock=time.perf_counter, pid: int | None = None,
+                 origin: float | None = None):
         self._clock = clock
-        self._start = clock()
+        #: Clock reading that timestamp 0 maps to.  A tracer in another
+        #: process (the runner's pool workers) passes its parent's origin
+        #: so both timelines line up on the shared monotonic clock.
+        self.origin = clock() if origin is None else origin
         self.pid = os.getpid() if pid is None else pid
         self.events: list[dict] = []
         self._lock = threading.Lock()
@@ -37,8 +42,8 @@ class Tracer:
     # -- time ------------------------------------------------------------
 
     def now_us(self) -> float:
-        """Microseconds since tracer creation."""
-        return (self._clock() - self._start) * 1e6
+        """Microseconds since the tracer's origin."""
+        return (self._clock() - self.origin) * 1e6
 
     # -- recording -------------------------------------------------------
 

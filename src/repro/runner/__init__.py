@@ -9,9 +9,10 @@ Public surface::
                           Experiment(options, DATAFLOW)])
 
 Analysis harnesses that are not handed an explicit runner share the
-process-wide :func:`default_runner` (serial, disk cache honoring
-``REPRO_CACHE_DIR`` / ``REPRO_NO_CACHE`` / ``REPRO_JOBS``).  See
-``docs/runner.md``.
+process-wide :func:`default_runner` (one worker per available core, see
+:func:`default_jobs`; disk cache honoring ``REPRO_CACHE_DIR`` /
+``REPRO_NO_CACHE`` / ``REPRO_JOBS``).  ``Runner(jobs=1)``, the
+constructor's default, is the serial path.  See ``docs/runner.md``.
 """
 
 from __future__ import annotations
@@ -36,13 +37,22 @@ from repro.runner.experiment import (
 _DEFAULT_RUNNER: Runner | None = None
 
 
+def default_jobs() -> int:
+    """Worker processes the CLIs and :func:`default_runner` use by default:
+    the cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
 def default_runner() -> Runner:
     """The process-wide shared runner (lazily created from the environment)."""
     global _DEFAULT_RUNNER
     if _DEFAULT_RUNNER is None:
         _DEFAULT_RUNNER = Runner(
             cache=ResultCache.from_env(),
-            jobs=int(os.environ.get("REPRO_JOBS", "1")),
+            jobs=int(os.environ.get("REPRO_JOBS", default_jobs())),
         )
     return _DEFAULT_RUNNER
 
@@ -68,6 +78,7 @@ __all__ = [
     "RUNNER_VERSION",
     "content_key",
     "default_cache_dir",
+    "default_jobs",
     "default_runner",
     "experiment_grid",
     "set_default_runner",

@@ -9,8 +9,11 @@ One :class:`Runner` serves every analysis harness and CLI tool:
   across a ``multiprocessing`` pool when ``jobs > 1``; each worker runs the
   group's functional simulation once, then every timing config against the
   shared trace.  Timing simulation is deterministic, so parallel results
-  are bit-identical to serial ones.  If a pool cannot be created (restricted
-  sandboxes) the runner falls back to serial execution.
+  are bit-identical to serial ones.  Workers write trace blobs through to
+  the parent's cache and send back their telemetry (spans, ledger events,
+  codegen reports), so the pool dedups and reports what the serial path
+  does.  If a pool cannot be created (restricted sandboxes) the runner
+  warns once and stays serial for its lifetime.
 * **Result caching** -- per-(experiment, config) :class:`SimStats` records
   persist in a :class:`~repro.runner.cache.ResultCache` keyed by a content
   hash of the kernel program bytes, functional inputs, machine config and
@@ -33,11 +36,12 @@ walkthrough.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 import warnings
 from array import array
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 from repro.ciphers.suite import SUITE_BY_NAME
 from repro.kernels import registry as kernel_registry
@@ -50,9 +54,11 @@ from repro.runner.telemetry import (
     DEFAULT_STUCK_AFTER,
     FleetMonitor,
 )
+from repro.sim.backends.compiled import compile_report_table
 from repro.sim.config import MachineConfig
 from repro.sim.stats import SimStats
 from repro.sim.timing import make_pipeline, record_sim_metrics, simulate
+from repro.sim.timing.specialized import specialization_report_table
 from repro.sim.trace import (
     ADDR_TYPECODE,
     DEFAULT_CHUNK_SIZE,
@@ -99,7 +105,8 @@ class RunnerStats:
     Wall time is accounted per phase -- functional simulation, timing
     simulation, and cache probing (key hashing + disk lookups) -- and
     covers work done in pool workers too: workers report their functional
-    time back with their results.  ``wall_time`` is the sum of the phases.
+    time back with their results, and timing time comes from the records.
+    ``wall_time`` is the sum of the phases.
     """
 
     cache_hits: int = 0
@@ -369,7 +376,7 @@ class Runner:
                     self.cache.errors += 1
                     run = None
                 if run is not None:
-                    self.stats.note_trace_bytes(run.trace.nbytes)
+                    self._note_trace_bytes(run.trace.nbytes)
                     self._functional[options] = run
                     return run
         start = time.perf_counter()
@@ -399,16 +406,9 @@ class Runner:
                         record_values=options.record_values,
                         backend=backend,
                     )
-        elapsed = time.perf_counter() - start
-        self.stats.functional_runs += 1
-        self.stats.wall_time_functional += elapsed
-        if self.metrics is not None:
-            self.metrics.counter("runner.functional_runs").inc()
-            self.metrics.histogram(
-                "runner.functional.seconds", {"cipher": options.cipher}
-            ).observe(elapsed)
+        self._count_functional(options, time.perf_counter() - start)
         if run.trace is not None:
-            self.stats.note_trace_bytes(run.trace.nbytes)
+            self._note_trace_bytes(run.trace.nbytes)
             if blob_key is not None:
                 self.cache.put_blob(blob_key, {
                     "version": RUNNER_VERSION,
@@ -422,6 +422,24 @@ class Runner:
                 })
         self._functional[options] = run
         return run
+
+    def _count_functional(self, options: ExperimentOptions,
+                          elapsed: float) -> None:
+        """Account one functional simulation, run here or in a worker."""
+        self.stats.functional_runs += 1
+        self.stats.wall_time_functional += elapsed
+        if self.metrics is not None:
+            self.metrics.counter("runner.functional_runs").inc()
+            self.metrics.histogram(
+                "runner.functional.seconds", {"cipher": options.cipher}
+            ).observe(elapsed)
+
+    def _note_trace_bytes(self, nbytes: int) -> None:
+        self.stats.note_trace_bytes(nbytes)
+        if self.metrics is not None:
+            self.metrics.gauge("runner.peak_trace_bytes").set(
+                self.stats.peak_trace_bytes
+            )
 
     # -- the experiment pipeline -------------------------------------------
 
@@ -529,11 +547,17 @@ class Runner:
                 self.stats.instructions_simulated += result.stats.instructions
                 self.stats.wall_time_timing += result.wall_time
                 if self.metrics is not None:
-                    self.metrics.histogram(
-                        "runner.experiment.seconds",
-                        {"cipher": result.cipher,
-                         "config": result.config_name},
-                    ).observe(result.wall_time)
+                    # Folded from the record, so pool results count the
+                    # same as serial ones.
+                    record_sim_metrics(self.metrics, experiment.config,
+                                       result.stats)
+                    labels = {"cipher": result.cipher,
+                              "config": result.config_name}
+                    for name in ("runner.timing.seconds",
+                                 "runner.experiment.seconds"):
+                        self.metrics.histogram(name, labels).observe(
+                            result.wall_time
+                        )
                 results[index] = result
                 self._publish_result(result)
                 if self.stats_hook is not None:
@@ -562,9 +586,17 @@ class Runner:
         self.bus.publish("runner", "result", data)
 
     def _run_groups_parallel(self, pending, monitor: FleetMonitor):
+        from repro.obs.events import active_bus
+
+        settings = {"stream": self.stream, "chunk_size": self.chunk_size,
+                    "backend": self.backend,
+                    "timing_engine": self.timing_engine}
+        clock = (None if self.tracer is None
+                 else (self.tracer.pid, self.tracer.origin))
         specs = [
-            (options, [entry[1].config for entry in entries],
-             self.stream, self.chunk_size, self.backend, self.timing_engine)
+            (options, [entry[1].config for entry in entries], settings,
+             (self.cache.root, self.cache.enabled), clock,
+             (self.bus is not None, active_bus() is not None))
             for options, entries in pending.items()
         ]
         labels = [self._group_label(spec[0]) for spec in specs]
@@ -593,23 +625,47 @@ class Runner:
             monitor.requeue_all()
             warnings.warn(
                 f"parallel runner unavailable ({error!r}); "
-                "falling back to serial execution",
+                "falling back to serial execution for this runner",
                 RuntimeWarning,
                 stacklevel=3,
             )
+            # Stay serial: retrying the pool on every run() would only
+            # warn again.
+            self.jobs = 1
             return None
-        # Workers ran the functional simulations out of process; fold the
-        # wall time (and peak trace memory) they report back.
-        self.stats.functional_runs += len(specs)
-        self.stats.wall_time_functional += sum(
-            output["functional_wall_time"] for output in outputs
-        )
-        for output in outputs:
-            self.stats.note_trace_bytes(output.get("peak_trace_bytes", 0))
-        return dict(zip(
-            (spec[0] for spec in specs),
-            (output["records"] for output in outputs),
-        ))
+        return {options: self._absorb_worker_output(options, output)
+                for options, output in zip(pending, outputs)}
+
+    def _absorb_worker_output(self, options: ExperimentOptions,
+                              output: dict) -> list[dict]:
+        """Account one pool worker's group as if it had run here."""
+        from repro.obs.events import publish_event
+
+        worker = output["stats"]
+        if worker.functional_runs:
+            self._count_functional(options, worker.wall_time_functional)
+        self.stats.wall_time_cache += worker.wall_time_cache
+        self._note_trace_bytes(worker.peak_trace_bytes)
+        hits, misses, errors = output["cache"]
+        self.cache.hits += hits
+        self.cache.misses += misses
+        self.cache.errors += errors
+        if self.tracer is not None:
+            self.tracer.add_events(output["trace_events"])
+        for event in output["bus_events"]:
+            self.bus.publish(event["source"], event["type"], event["data"])
+        for event in output["active_events"]:
+            publish_event(event["source"], event["type"], event["data"])
+        # A report this process already holds keeps its codegen figures
+        # and gains the worker's cache hits.
+        for table, reports in zip(_report_tables(), output["reports"]):
+            for key, report in reports.items():
+                mine = table.get(key)
+                if mine is None:
+                    table[key] = report
+                else:
+                    mine.source_cache_hits += report.source_cache_hits
+        return output["records"]
 
     def _should_stream(self, options: ExperimentOptions) -> bool:
         """Streaming eligibility for one experiment group.
@@ -643,15 +699,9 @@ class Runner:
                             {"cipher": options.cipher,
                              "config": config.name}) as span_args:
                 stats = simulate(run.trace, config, warm,
-                                 metrics=self.metrics,
                                  engine=self._resolved_timing_engine(options))
                 span_args["cycles"] = stats.cycles
             elapsed = time.perf_counter() - start
-            if self.metrics is not None:
-                self.metrics.histogram(
-                    "runner.timing.seconds",
-                    {"cipher": options.cipher, "config": config.name},
-                ).observe(elapsed)
             records.append({
                 "version": RUNNER_VERSION,
                 "cipher": options.cipher,
@@ -779,17 +829,8 @@ class Runner:
                 "warm_ranges": fin.warm_ranges,
             })
 
-        self.stats.functional_runs += 1
-        self.stats.wall_time_functional += functional_time
-        self.stats.note_trace_bytes(peak)
-        if self.metrics is not None:
-            self.metrics.counter("runner.functional_runs").inc()
-            self.metrics.histogram(
-                "runner.functional.seconds", {"cipher": options.cipher}
-            ).observe(functional_time)
-            self.metrics.gauge("runner.peak_trace_bytes").set(
-                self.stats.peak_trace_bytes
-            )
+        self._count_functional(options, functional_time)
+        self._note_trace_bytes(peak)
         if tracer is not None:
             # The phases ran interleaved; report each with its measured
             # share so span names and totals match the batch path.
@@ -807,12 +848,6 @@ class Runner:
             t0 = perf()
             stats = pipeline.finish()
             elapsed = timing_times[index] + (perf() - t0)
-            if self.metrics is not None:
-                record_sim_metrics(self.metrics, config, stats)
-                self.metrics.histogram(
-                    "runner.timing.seconds",
-                    {"cipher": options.cipher, "config": config.name},
-                ).observe(elapsed)
             if tracer is not None:
                 tracer.add_event({
                     "name": f"timing:{options.cipher}:{config.name}",
@@ -882,7 +917,7 @@ class Runner:
                     return stats
             self.stats.cache_misses += 1
         start = time.perf_counter()
-        self.stats.note_trace_bytes(getattr(trace, "nbytes", 0))
+        self._note_trace_bytes(getattr(trace, "nbytes", 0))
         with self._span(f"trace-sim:{config.name}", "timing",
                         {"config": config.name}):
             stats = simulate(trace, config, warm_ranges,
@@ -971,7 +1006,7 @@ class Runner:
                     pipeline.feed(chunk)
                 timing_time += perf() - t0
         self.stats.wall_time_functional += functional_time
-        self.stats.note_trace_bytes(peak)
+        self._note_trace_bytes(peak)
         for index, pipeline in pipelines.items():
             t0 = perf()
             stats = pipeline.finish()
@@ -987,10 +1022,6 @@ class Runner:
                     "stats": _stats_to_dict(stats),
                 })
         self.stats.wall_time_timing += timing_time
-        if self.metrics is not None:
-            self.metrics.gauge("runner.peak_trace_bytes").set(
-                self.stats.peak_trace_bytes
-            )
         return stats_list  # type: ignore[return-value]
 
     def cached_value(self, key_parts, compute):
@@ -1023,20 +1054,65 @@ def _null_span(args: dict | None = None):
     yield dict(args or {})
 
 
+def _report_tables() -> tuple[dict, dict]:
+    """This process's codegen report tables: compiled, specialized."""
+    return compile_report_table(), specialization_report_table()
+
+
 def _worker_run_group(spec):
     """Pool entry point: one functional run + its timing configs.
 
-    Returns the records plus the worker's functional wall time and peak
-    trace memory so the parent runner's accounting covers out-of-process
-    work.
+    The worker's cache shares the parent's root, so the trace blob it
+    writes dedups later groups; result records stay the parent's to
+    write.  Besides the records it returns what the parent needs to
+    account the group as if it had run it: the worker's
+    :class:`RunnerStats` and cache counters, its spans (on a track named
+    by its pid), the events for the parent's runner bus and active bus,
+    and the codegen reports it added.
     """
-    options, configs, stream, chunk_size, backend, timing_engine = spec
-    worker = Runner(cache=ResultCache.disabled(), jobs=1,
-                    stream=stream, chunk_size=chunk_size, backend=backend,
-                    timing_engine=timing_engine)
-    records = worker._run_group_records(options, configs)
+    from repro.obs.events import EventBus, set_active_bus
+    from repro.obs.tracing import Tracer
+
+    options, configs, settings, (root, enabled), clock, buses = spec
+    bus_events: list[dict] = []
+    active_events: list[dict] = []
+    bus = EventBus().subscribe(bus_events.append) if buses[0] else None
+    active = EventBus().subscribe(active_events.append) if buses[1] else None
+    tracer = None if clock is None else Tracer(pid=clock[0], origin=clock[1])
+    worker = Runner(cache=ResultCache(root, enabled=enabled), jobs=1,
+                    tracer=tracer, bus=bus, **settings)
+    tables = _report_tables()
+    marks = [{key: report.source_cache_hits for key, report in table.items()}
+             for table in tables]
+    # A forked worker inherits the parent's active bus; codegen events
+    # must reach the parent's ledger through the return value instead.
+    previous = set_active_bus(active)
+    try:
+        records = worker._run_group_records(options, configs)
+    finally:
+        set_active_bus(previous)
+    trace_events = [] if tracer is None else tracer.events
+    for event in trace_events:
+        event["tid"] = os.getpid()
+    reports = []
+    for table, mark in zip(tables, marks):
+        added = {}
+        for key, report in table.items():
+            if key not in mark:
+                added[key] = report
+            elif report.source_cache_hits > mark[key]:
+                added[key] = replace(
+                    report,
+                    source_cache_hits=report.source_cache_hits - mark[key],
+                )
+        reports.append(added)
+    cache = worker.cache
     return {
         "records": records,
-        "functional_wall_time": worker.stats.wall_time_functional,
-        "peak_trace_bytes": worker.stats.peak_trace_bytes,
+        "stats": worker.stats,
+        "cache": (cache.hits, cache.misses, cache.errors),
+        "trace_events": trace_events,
+        "bus_events": bus_events,
+        "active_events": active_events,
+        "reports": reports,
     }

@@ -245,6 +245,15 @@ def compile_reports() -> list[CompileReport]:
     return list(_COMPILE_REPORTS.values())
 
 
+def compile_report_table() -> dict:
+    """The live key -> report table behind :func:`compile_reports`.
+
+    The runner's pool workers compile out of process; the parent merges
+    what they add to theirs into this one.
+    """
+    return _COMPILE_REPORTS
+
+
 def record_compile_metrics(registry) -> None:
     """Fold the process's compile reports into a metrics registry.
 

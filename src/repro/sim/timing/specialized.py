@@ -107,6 +107,15 @@ def specialization_reports() -> list[SpecializationReport]:
     return list(_REPORTS.values())
 
 
+def specialization_report_table() -> dict:
+    """The live key -> report table behind :func:`specialization_reports`.
+
+    The runner's pool workers specialize out of process; the parent
+    merges what they add to theirs into this one.
+    """
+    return _REPORTS
+
+
 def record_timing_metrics(registry) -> None:
     """Fold the process's specialization reports into a metrics registry.
 

@@ -31,7 +31,7 @@ from repro.isa import Features
 from repro.kernels import KERNEL_NAMES
 from repro.obs import Observability
 from repro.obs.profiler import DEFAULT_HZ
-from repro.runner import ProgressReporter, ResultCache, Runner
+from repro.runner import ProgressReporter, ResultCache, Runner, default_jobs
 from repro.sim.backends import DEFAULT_BACKEND, backend_names
 from repro.sim.timing import DEFAULT_ENGINE, engine_names
 from repro.sim import (
@@ -119,8 +119,10 @@ def add_session_argument(
 
 def add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for timing simulations (default 1: serial)",
+        "--jobs", type=int, default=default_jobs(),
+        help="worker processes for the experiment runner (default "
+             "%(default)s: the available cores; 1 runs serially); "
+             "results are identical at any value",
     )
     parser.add_argument(
         "--progress", action="store_true",
@@ -255,4 +257,5 @@ def runner_from_args(
         kwargs.setdefault("chunk_size", chunk_size)
     kwargs.setdefault("backend", getattr(args, "backend", None))
     kwargs.setdefault("timing_engine", getattr(args, "timing_engine", None))
-    return Runner(cache=cache, jobs=getattr(args, "jobs", 1), **kwargs)
+    return Runner(cache=cache, jobs=getattr(args, "jobs", default_jobs()),
+                  **kwargs)
