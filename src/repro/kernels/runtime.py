@@ -233,18 +233,23 @@ class CipherKernel(ABC):
         size = layout.output + layout.session_bytes + 4096
         return Memory(size)
 
-    def program_for(self, session_bytes: int, decrypt: bool = False) -> Program:
-        """Build (or reuse) the kernel program for a session length.
+    @classmethod
+    def blocks_for(cls, session_bytes: int) -> int:
+        """Blocks in a session; a partial final block is a ``ValueError``.
 
-        Cheap relative to simulation -- the experiment runner uses this to
-        content-hash a kernel without executing it.
+        A class method, so the experiment runner can reject a bad session
+        length at cache-key time without constructing the kernel.
         """
-        if self.block_bytes > 1 and session_bytes % self.block_bytes:
+        if cls.block_bytes > 1 and session_bytes % cls.block_bytes:
             raise ValueError(
-                f"{self.name}: session must be a whole number of "
-                f"{self.block_bytes}-byte blocks"
+                f"{cls.name}: session must be a whole number of "
+                f"{cls.block_bytes}-byte blocks"
             )
-        nblocks = session_bytes // max(self.block_bytes, 1)
+        return session_bytes // max(cls.block_bytes, 1)
+
+    def program_for(self, session_bytes: int, decrypt: bool = False) -> Program:
+        """Build (or reuse) the kernel program for a session length."""
+        nblocks = self.blocks_for(session_bytes)
         cache_key = (nblocks, decrypt)
         program = self._program_cache.get(cache_key)
         if program is None:

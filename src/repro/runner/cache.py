@@ -1,11 +1,16 @@
 """Content-hashed on-disk result cache for the experiment runner.
 
 Every cached record is keyed by a SHA-256 over a canonical JSON rendering
-of *what produced it*: the kernel program bytes (disassembly digest), the
-functional inputs (key, IV, plaintext), the machine configuration, and
-:data:`RUNNER_VERSION`.  Changing any of those -- including editing a
-kernel so it emits different code -- changes the key, so stale results are
-never returned; they are simply orphaned on disk.
+of *what produced it*: the functional inputs (key, IV, plaintext), the
+machine configuration, :data:`RUNNER_VERSION`, and
+:func:`semantics_digest` -- a digest of the source of every package that
+determines a simulated result (``repro.isa``, ``repro.sim``,
+``repro.kernels``, ``repro.ciphers``, ``repro.util``).  Editing any of
+those files -- a latency constant, a kernel's code, a table generator --
+changes every key, so stale results are never returned; they are simply
+orphaned on disk.  Editing ``repro.obs``, ``repro.analysis`` or
+``repro.runner`` changes none.  Because the key is computed from sources,
+not from built programs, a cache hit constructs no kernel.
 
 The cache is a plain directory of JSON files (``<root>/<k[:2]>/<k>.json``),
 safe to delete at any time.  Reads that hit a corrupted, truncated or
@@ -28,12 +33,41 @@ import json
 import os
 import pickle
 import shutil
+import sys
 import tempfile
+from functools import cache
 from pathlib import Path
 
-#: Bump whenever the simulators, kernels' table layouts, or the record
-#: schema change in a way the content hash cannot see.
-RUNNER_VERSION = 3  # v3: array-backed traces + streaming pipeline (PR 3)
+#: The record-schema version: bump it when the layout of a cached record
+#: changes.  Semantic changes need no bump -- :func:`semantics_digest`
+#: sees them.
+RUNNER_VERSION = 3  # v3: array-backed traces + streaming pipeline
+
+#: The ``repro`` packages whose sources determine simulated results.
+SEMANTIC_PACKAGES = ("isa", "sim", "kernels", "ciphers", "util")
+
+
+@cache
+def semantics_digest() -> str:
+    """SHA-256 over the sources that determine results, once per process.
+
+    Hashes the ``repro``-relative path and bytes of every ``.py`` file
+    under :data:`SEMANTIC_PACKAGES`, plus the interpreter's name and
+    major.minor version.  Runtime monkeypatching is invisible to it.
+    """
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    paths = sorted(path for package in SEMANTIC_PACKAGES
+                   for path in (root / package).rglob("*.py"))
+    for path in paths:
+        data = path.read_bytes()
+        name = path.relative_to(root).as_posix()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    version = sys.version_info
+    digest.update(f"{sys.implementation.name}-{version[0]}.{version[1]}"
+                  .encode())
+    return digest.hexdigest()
 
 
 def default_cache_dir() -> Path:

@@ -12,12 +12,15 @@ One :class:`Runner` serves every analysis harness and CLI tool:
   are bit-identical to serial ones.  Workers write trace blobs through to
   the parent's cache and send back their telemetry (spans, ledger events,
   codegen reports), so the pool dedups and reports what the serial path
-  does.  If a pool cannot be created (restricted sandboxes) the runner
-  warns once and stays serial for its lifetime.
+  does.  Workers construct their groups' kernels; the parent builds
+  none.  If a pool cannot start or transfer work (restricted sandboxes,
+  a dead worker) the runner warns once and stays serial for its
+  lifetime; an error raised by a group's own code is re-raised as is.
 * **Result caching** -- per-(experiment, config) :class:`SimStats` records
   persist in a :class:`~repro.runner.cache.ResultCache` keyed by a content
-  hash of the kernel program bytes, functional inputs, machine config and
-  runner version, so repeated report/benchmark invocations are near-instant.
+  hash of the result-determining sources, functional inputs, machine
+  config and record-schema version, so repeated report/benchmark
+  invocations are near-instant and a cache hit builds no kernel.
 * **Metrics** -- per-run wall time (broken down by phase: functional
   simulation, timing simulation, cache probing), cache hit/miss and
   instructions simulated flow through :class:`RunnerStats` and an optional
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import time
 import warnings
 from array import array
@@ -47,7 +51,12 @@ from repro.ciphers.suite import SUITE_BY_NAME
 from repro.kernels import registry as kernel_registry
 from repro.kernels.runtime import KernelRun
 from repro.kernels.setup_registry import make_setup
-from repro.runner.cache import RUNNER_VERSION, ResultCache, content_key
+from repro.runner.cache import (
+    RUNNER_VERSION,
+    ResultCache,
+    content_key,
+    semantics_digest,
+)
 from repro.runner.experiment import Experiment, ExperimentOptions
 from repro.runner.telemetry import (
     DEFAULT_HEARTBEAT_INTERVAL,
@@ -222,6 +231,7 @@ class Runner:
         self._kernels: dict[tuple, object] = {}
         self._functional: dict[ExperimentOptions, object] = {}
         self._fingerprints: dict[ExperimentOptions, str] = {}
+        self._config_keys: dict[MachineConfig, str] = {}
 
     def _span(self, name: str, category: str, args: dict | None = None):
         """A tracer span, or an inert stand-in when tracing is off."""
@@ -229,7 +239,7 @@ class Runner:
             return self.tracer.span(name, category, args)
         return _null_span(args)
 
-    # -- kernel construction and content hashing ---------------------------
+    # -- kernel construction and cache keys --------------------------------
 
     def _resolved_key(self, options: ExperimentOptions) -> bytes:
         if options.key is not None:
@@ -258,20 +268,16 @@ class Runner:
             return options.timing_engine
         return self.timing_engine
 
-    def _warm_ranges(self, options: ExperimentOptions):
-        """The cache-warm ranges a kernel run reports, without running it."""
-        if options.kind == "setup":
-            return None
-        kernel = self._kernel(options)
-        layout = kernel.layout_for(options.session_bytes)
-        return [
-            (layout.tables, kernel.tables_bytes),
-            (layout.keys, kernel.keys_bytes),
-            (layout.iv, 64),
-        ]
-
     def fingerprint(self, options: ExperimentOptions) -> str:
-        """Content hash of one functional run: program bytes + inputs.
+        """Content hash of one functional run: sources + inputs.
+
+        Hashes :func:`~repro.runner.cache.semantics_digest` (the sources
+        that determine results), :data:`RUNNER_VERSION` (the record
+        schema) and the run's inputs: kind, cipher, feature level,
+        session length, base offset, key, plaintext and IV.  It builds
+        no kernel or program, so a cache hit never does.  Raises
+        ``ValueError`` for a session that is not a whole number of the
+        kernel's blocks.
 
         ``record_values`` is deliberately excluded -- recording destination
         values changes what the trace carries in memory, not any simulated
@@ -280,41 +286,38 @@ class Runner:
         cached = self._fingerprints.get(options)
         if cached is not None:
             return cached
-        key = self._resolved_key(options)
-        if options.kind == "setup":
-            setup = make_setup(options.cipher, key)
-            program = setup.build_program(setup.layout()).finalize()
-            inputs = {"plaintext": b"", "iv": b""}
-        else:
-            kernel = self._kernel(options)
-            program = kernel.program_for(
-                options.session_bytes, decrypt=options.kind == "decrypt"
+        setup = options.kind == "setup"
+        if not setup:
+            kernel_registry.KERNELS[options.cipher].blocks_for(
+                options.session_bytes
             )
-            inputs = {
-                "plaintext": options.resolved_plaintext(),
-                "iv": options.iv if options.iv is not None else b"",
-            }
         digest = content_key({
+            "semantics": semantics_digest(),
             "runner_version": RUNNER_VERSION,
             "kind": options.kind,
             "cipher": options.cipher,
             "features": options.features.label,
             "session_bytes": options.session_bytes,
             "base_offset": options.base_offset,
-            "key": key,
-            "program": program.digest(),
-            "warm": self._warm_ranges(options),
-            **inputs,
+            "key": self._resolved_key(options),
+            "plaintext": b"" if setup else options.resolved_plaintext(),
+            "iv": b"" if setup or options.iv is None else options.iv,
         })
         self._fingerprints[options] = digest
         return digest
 
     def experiment_key(self, experiment: Experiment) -> str:
         """Content hash naming one (functional run, machine config) result."""
+        config = experiment.config
+        config_key = self._config_keys.get(config)
+        if config_key is None:
+            config_key = self._config_keys[config] = content_key(
+                asdict(config)
+            )
         return content_key({
             "record": "experiment",
             "fingerprint": self.fingerprint(experiment.options),
-            "config": asdict(experiment.config),
+            "config": config_key,
         })
 
     # -- functional simulation (memoized + blob-cached) --------------------
@@ -531,11 +534,11 @@ class Runner:
                     computed.update(parallel)
                     cold = {}
             for options, entries in {**local, **cold}.items():
-                monitor.dispatch(self._group_label(options))
+                monitor.dispatch(options, self._group_label(options))
                 computed[options] = self._run_group_records(
                     options, [entry[1].config for entry in entries]
                 )
-                monitor.complete(self._group_label(options))
+                monitor.complete(options)
         for options, entries in pending.items():
             records = computed[options]
             for (index, experiment, key), record in zip(entries, records):
@@ -599,7 +602,6 @@ class Runner:
              (self.bus is not None, active_bus() is not None))
             for options, entries in pending.items()
         ]
-        labels = [self._group_label(spec[0]) for spec in specs]
         try:
             with self._span("parallel-fanout", "timing",
                             {"groups": len(specs), "jobs": self.jobs}):
@@ -609,15 +611,16 @@ class Runner:
                     # on the pool's result thread the moment a worker
                     # finishes, keeping heartbeats/ETA accurate.
                     handles = []
-                    for spec, label in zip(specs, labels):
-                        monitor.dispatch(label)
+                    for spec in specs:
+                        options = spec[0]
+                        monitor.dispatch(options, self._group_label(options))
                         handles.append(pool.apply_async(
                             _worker_run_group, (spec,),
-                            callback=lambda _out, label=label:
-                                monitor.complete(label),
+                            callback=lambda _out, options=options:
+                                monitor.complete(options),
                         ))
                     outputs = [handle.get() for handle in handles]
-        except Exception as error:  # pool unavailable or worker died
+        except Exception as error:  # pool could not start or transfer work
             # Keep the dispatched groups accounted (the serial fallback
             # runs exactly those; its dispatch() calls are idempotent),
             # but restart their timers and the watchdog's progress clock
@@ -633,6 +636,10 @@ class Runner:
             # warn again.
             self.jobs = 1
             return None
+        for output in outputs:
+            if "error" in output:
+                # The group's own code failed: the same error as jobs=1.
+                raise output["error"]
         return {options: self._absorb_worker_output(options, output)
                 for options, output in zip(pending, outputs)}
 
@@ -899,13 +906,7 @@ class Runner:
         """
         key = None
         if key_parts is not None:
-            key = content_key({
-                "record": "trace-sim",
-                "version": RUNNER_VERSION,
-                "parts": key_parts,
-                "config": asdict(config),
-                "warm": warm_ranges,
-            })
+            key = _trace_sim_key(key_parts, config, warm_ranges)
             record = self.cache.get(key)
             if record is not None:
                 try:
@@ -958,13 +959,7 @@ class Runner:
         keys: list[str | None] = [None] * len(configs)
         if key_parts is not None:
             for index, config in enumerate(configs):
-                key = content_key({
-                    "record": "trace-sim",
-                    "version": RUNNER_VERSION,
-                    "parts": key_parts,
-                    "config": asdict(config),
-                    "warm": warm_ranges,
-                })
+                key = _trace_sim_key(key_parts, config, warm_ranges)
                 keys[index] = key
                 record = self.cache.get(key)
                 if record is not None:
@@ -1033,6 +1028,7 @@ class Runner:
         """
         key = content_key({
             "record": "value",
+            "semantics": semantics_digest(),
             "version": RUNNER_VERSION,
             "parts": key_parts,
         })
@@ -1048,6 +1044,18 @@ class Runner:
         return value
 
 
+def _trace_sim_key(key_parts, config: MachineConfig, warm_ranges) -> str:
+    """Cache key of one timing simulation of a caller-identified trace."""
+    return content_key({
+        "record": "trace-sim",
+        "semantics": semantics_digest(),
+        "version": RUNNER_VERSION,
+        "parts": key_parts,
+        "config": asdict(config),
+        "warm": warm_ranges,
+    })
+
+
 @contextmanager
 def _null_span(args: dict | None = None):
     """Stand-in for :meth:`repro.obs.Tracer.span` when tracing is off."""
@@ -1059,6 +1067,20 @@ def _report_tables() -> tuple[dict, dict]:
     return compile_report_table(), specialization_report_table()
 
 
+def _transferable(error: Exception) -> Exception:
+    """``error`` if it survives pickling, else a ``RuntimeError`` naming it.
+
+    The parent unpickles a worker's result on the pool's result thread;
+    an exception that fails to rebuild there kills that thread and
+    leaves the run waiting forever.
+    """
+    try:
+        pickle.loads(pickle.dumps(error))
+    except Exception:
+        return RuntimeError(f"pool worker raised {error!r}")
+    return error
+
+
 def _worker_run_group(spec):
     """Pool entry point: one functional run + its timing configs.
 
@@ -1068,7 +1090,9 @@ def _worker_run_group(spec):
     account the group as if it had run it: the worker's
     :class:`RunnerStats` and cache counters, its spans (on a track named
     by its pid), the events for the parent's runner bus and active bus,
-    and the codegen reports it added.
+    and the codegen reports it added.  An exception raised by the group's
+    own code comes back as ``{"error": exception}`` for the parent to
+    re-raise, so it is never mistaken for a pool failure.
     """
     from repro.obs.events import EventBus, set_active_bus
     from repro.obs.tracing import Tracer
@@ -1089,6 +1113,8 @@ def _worker_run_group(spec):
     previous = set_active_bus(active)
     try:
         records = worker._run_group_records(options, configs)
+    except Exception as error:
+        return {"error": _transferable(error)}
     finally:
         set_active_bus(previous)
     trace_events = [] if tracer is None else tracer.events

@@ -80,9 +80,11 @@ class FleetMonitor:
         self.stuck_after = stuck_after
         self._clock = clock
         self._lock = threading.Lock()
-        #: label -> dispatch timestamp, insertion-ordered (dispatch order).
-        self._inflight: dict[str, float] = {}
-        self._warned: set[str] = set()
+        #: group -> (label, dispatch timestamp), insertion-ordered
+        #: (dispatch order).  Groups are keyed by identity, not label:
+        #: distinct groups may share a display label.
+        self._inflight: dict[object, tuple[str, float]] = {}
+        self._warned: set = set()
         self.done = 0
         self._started_at: float | None = None
         self._last_progress: float | None = None
@@ -139,18 +141,22 @@ class FleetMonitor:
 
     # -- group accounting --------------------------------------------------
 
-    def dispatch(self, label: str) -> None:
+    def dispatch(self, group, label: str | None = None) -> None:
         """Account one group dispatch.
 
-        Idempotent for labels already in flight: the serial fallback
-        walks groups the failed pool already dispatched, and those must
-        not appear twice in the event ledger (see :meth:`requeue_all`).
+        ``group`` is any hashable identity; ``label`` is what events show
+        (default: ``group`` itself).  Idempotent for groups already in
+        flight: the serial fallback walks groups the failed pool already
+        dispatched, and those must not appear twice in the event ledger
+        (see :meth:`requeue_all`).
         """
         now = self._clock()
+        if label is None:
+            label = group
         with self._lock:
-            if label in self._inflight:
+            if group in self._inflight:
                 return
-            self._inflight[label] = now
+            self._inflight[group] = (label, now)
             busy = min(len(self._inflight), self.jobs)
         if self.enabled:
             self._emit({"type": "dispatch", "group": label,
@@ -158,11 +164,11 @@ class FleetMonitor:
                         "total": self.total_groups})
             self._publish_busy(busy)
 
-    def complete(self, label: str) -> None:
+    def complete(self, group) -> None:
         now = self._clock()
         with self._lock:
-            dispatched = self._inflight.pop(label, now)
-            self._warned.discard(label)
+            label, dispatched = self._inflight.pop(group, (group, now))
+            self._warned.discard(group)
             self.done += 1
             done = self.done
             self._last_progress = now
@@ -204,8 +210,8 @@ class FleetMonitor:
         """
         now = self._clock()
         with self._lock:
-            for label in self._inflight:
-                self._inflight[label] = now
+            for group, (label, _) in self._inflight.items():
+                self._inflight[group] = (label, now)
             self._warned.clear()
             self._last_progress = now
 
@@ -234,10 +240,10 @@ class FleetMonitor:
         self._emit(event)
         self._publish_busy(busy)
         if self.stuck_after > 0 and now - quiet_since >= self.stuck_after:
-            for label, dispatched in running:
-                if label in self._warned:
+            for group, (label, dispatched) in running:
+                if group in self._warned:
                     continue
-                self._warned.add(label)
+                self._warned.add(group)
                 quiet = now - max(dispatched, quiet_since)
                 self._emit({"type": "stuck", "group": label,
                             "quiet_seconds": quiet})

@@ -1,16 +1,16 @@
 """The unified experiment runner: dedup, caching, parallel fan-out."""
 
+import json
+import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 from repro.isa import Features
-from repro.isa import opcodes as op
-from repro.isa.instruction import Instruction
-from repro.isa.program import Program
-from repro.kernels import KERNEL_NAMES, KERNELS
+from repro.kernels import KERNEL_NAMES
 from repro.runner import (
     Experiment,
     ExperimentOptions,
@@ -89,29 +89,147 @@ def test_experiment_key_stable_across_processes(tmp_path):
     assert out == local
 
 
-def test_cache_invalidated_when_kernel_program_changes(tmp_path, monkeypatch):
+class SourceCopy:
+    """A copy of ``src/`` that a test may edit, driven in subprocesses.
+
+    Edits to the copy are what a developer's edits are: the cache key
+    must see them without any runtime monkeypatching.
+    """
+
+    def __init__(self, root: Path):
+        self.root = root
+        shutil.copytree(SRC, root,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+
+    def edit(self, relative: str, old: str, new: str) -> None:
+        path = self.root / relative
+        text = path.read_text()
+        assert text.count(old) == 1, f"{old!r} not unique in {relative}"
+        path.write_text(text.replace(old, new))
+
+    def run(self, script: str, cache_dir: Path | None = None):
+        """Run ``script`` on the copy; return its printed JSON."""
+        env = {"PYTHONPATH": str(self.root), "PATH": "/usr/bin",
+               # An edit may keep a file's size and mtime second, which
+               # would let a stale .pyc shadow it.
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        if cache_dir is not None:
+            env["REPRO_CACHE_DIR"] = str(cache_dir)
+        out = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(script)],
+            capture_output=True, text=True, check=True, env=env,
+        ).stdout
+        return json.loads(out)
+
+
+KEYS_SCRIPT = """
+    import json
+    from repro.kernels import KERNEL_NAMES
+    from repro.runner import ResultCache, Runner, experiment_grid
+    from repro.sim import DATAFLOW, FOURW
+    runner = Runner(cache=ResultCache.disabled())
+    grid = experiment_grid(KERNEL_NAMES, [FOURW, DATAFLOW], session_bytes=64)
+    print(json.dumps({
+        "experiments": [runner.experiment_key(e) for e in grid],
+        "fingerprints": [runner.fingerprint(e.options) for e in grid],
+    }))
+"""
+
+
+def test_simulator_edit_rekeys_every_experiment(tmp_path):
+    copy = SourceCopy(tmp_path / "src")
+    before = copy.run(KEYS_SCRIPT)
+    # ALPHA21264's load latency: no experiment below runs on that config,
+    # so only the source digest can carry the edit into their keys.
+    copy.edit("repro/sim/config.py", "load_latency=4,", "load_latency=5,")
+    after = copy.run(KEYS_SCRIPT)
+    for kind in ("experiments", "fingerprints"):
+        assert not set(before[kind]) & set(after[kind])
+
+
+def test_observability_edit_rekeys_nothing(tmp_path):
+    copy = SourceCopy(tmp_path / "src")
+    before = copy.run(KEYS_SCRIPT)
+    copy.edit("repro/obs/events.py", '"""The unified run ledger',
+              '"""The edited unified run ledger')
+    assert copy.run(KEYS_SCRIPT) == before
+
+
+RC6_SCRIPT = """
+    import json
+    from repro.runner import ResultCache, Runner, experiment_grid
+    from repro.sim import DATAFLOW, FOURW
+    runner = Runner(cache=ResultCache.from_env())
+    results = runner.run(experiment_grid(["RC6"], [FOURW, DATAFLOW],
+                                         session_bytes=128))
+    print(json.dumps({"cached": [r.cached for r in results],
+                      "cycles": [r.stats.cycles for r in results],
+                      "misses": runner.stats.cache_misses}))
+"""
+
+
+def test_cache_invalidated_when_kernel_program_changes(tmp_path):
     """Editing a kernel so it emits different code must change the content
     key, even when the dynamic behavior is identical."""
-    cold = make_runner(tmp_path)
-    baseline = cold.run(grid())[0]
+    copy = SourceCopy(tmp_path / "src")
+    baseline = copy.run(RC6_SCRIPT, tmp_path / "cache")
+    # Unreachable (after the final halt): the trace and all simulated
+    # results are identical, only the program bytes differ.
+    copy.edit("repro/kernels/rc6_kernel.py",
+              "        kb.halt()\n        return kb.build()\n\n    def ",
+              "        kb.halt()\n        kb.addq(in_ptr, in_ptr, in_ptr)\n"
+              "        return kb.build()\n\n    def ")
+    edited = copy.run(RC6_SCRIPT, tmp_path / "cache")
+    assert not any(edited["cached"])
+    assert edited["misses"] == len(grid())
+    assert edited["cycles"] == baseline["cycles"]
 
-    original = KERNELS["RC6"].build_program
 
-    def patched(self, layout, nblocks):
-        tweaked = Program()
-        for instruction in original(self, layout, nblocks).instructions:
-            tweaked.add(instruction)
-        # Unreachable (after the final halt): the trace and all simulated
-        # results are identical, only the program bytes differ.
-        tweaked.add(Instruction(op.ADDQ, dest=1, src1=1, src2=1))
-        return tweaked.finalize()
+def test_warm_run_builds_no_kernel(tmp_path):
+    """A cache hit needs neither a kernel nor pi's digits."""
+    script = """
+        import dataclasses, json
+        from repro.kernels.runtime import CipherKernel
+        from repro.runner import ResultCache, Runner, experiment_grid
+        from repro.sim import FOURW
+        from repro.util.pi import _pi_fraction_hex
+        built = []
+        init = CipherKernel.__init__
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+        CipherKernel.__init__ = counting_init
+        runner = Runner(cache=ResultCache.from_env())
+        results = runner.run(experiment_grid(
+            ["Blowfish", "Mars", "RC6"], [FOURW], session_bytes=64))
+        print(json.dumps({
+            "built": built,
+            "pi_misses": _pi_fraction_hex.cache_info().misses,
+            "cached": [r.cached for r in results],
+            "stats": [dataclasses.asdict(r.stats) for r in results],
+            "instructions": [r.instructions for r in results],
+        }, default=repr))
+    """
+    copy = SourceCopy(tmp_path / "src")
+    cold = copy.run(script, tmp_path / "cache")
+    warm = copy.run(script, tmp_path / "cache")
+    assert cold["built"] and cold["pi_misses"]
+    assert warm["built"] == [] and warm["pi_misses"] == 0
+    assert all(warm["cached"]) and not any(cold["cached"])
+    assert warm["stats"] == cold["stats"]
+    assert warm["instructions"] == cold["instructions"]
 
-    monkeypatch.setattr(KERNELS["RC6"], "build_program", patched)
-    edited = make_runner(tmp_path)
-    result = edited.run(grid())[0]
-    assert not result.cached
-    assert edited.stats.cache_misses == len(grid())
-    assert result.stats.cycles == baseline.stats.cycles
+
+def test_partial_block_session_rejected_at_key_time(tmp_path):
+    from repro.kernels import make_kernel
+
+    with pytest.raises(ValueError) as from_program:
+        make_kernel("RC6").program_for(100)
+    runner = make_runner(tmp_path)
+    with pytest.raises(ValueError) as from_key:
+        runner.fingerprint(ExperimentOptions(cipher="RC6", session_bytes=100))
+    assert str(from_key.value) == str(from_program.value)
+    assert runner._kernels == {}
 
 
 def test_runner_version_participates_in_keys(tmp_path, monkeypatch):

@@ -50,6 +50,51 @@ def test_pool_failure_warns_once_and_stays_serial(tmp_path, monkeypatch):
     assert [r.stats for r in first] == [r.stats for r in second]
 
 
+def test_group_error_reraises_without_fallback(monkeypatch):
+    """A kernel's own failure in a worker is the jobs=1 error, not a
+    pool failure: no warning, no serial rerun, the pool stays on."""
+    from repro.kernels import KERNELS
+
+    def wrong_reference(self, plaintext, iv):
+        return bytes(len(plaintext))
+
+    monkeypatch.setattr(KERNELS["RC6"], "reference_encrypt", wrong_reference)
+    experiments = experiment_grid(["RC4", "RC6"], [FOURW], session_bytes=64)
+    with pytest.raises(AssertionError) as serial:
+        Runner(cache=ResultCache.disabled(), jobs=1).run(experiments)
+    runner = Runner(cache=ResultCache.disabled(), jobs=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(AssertionError) as pooled:
+            runner.run(experiments)
+    assert "diverges from reference" in str(serial.value)
+    assert str(pooled.value) == str(serial.value)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert runner.jobs == 2
+
+
+class TwoArgError(Exception):
+    """An exception that unpickling cannot rebuild (``__init__`` needs two
+    arguments, pickling replays one)."""
+
+    def __init__(self, message, detail):
+        super().__init__(message)
+        self.detail = detail
+
+
+def test_unpicklable_group_error_surfaces_instead_of_hanging(monkeypatch):
+    from repro.kernels import KERNELS
+
+    def explode(self, plaintext, iv):
+        raise TwoArgError("kernel exploded", 1)
+
+    monkeypatch.setattr(KERNELS["RC6"], "reference_encrypt", explode)
+    runner = Runner(cache=ResultCache.disabled(), jobs=2)
+    with pytest.raises(Exception, match="kernel exploded"):
+        run_quietly(runner, experiment_grid(["RC4", "RC6"], [FOURW],
+                                            session_bytes=64))
+
+
 # -- trace dedup through the shared cache -------------------------------------
 
 def fig4_then_fig5(cache_root: Path, jobs: int):

@@ -1,6 +1,12 @@
 """Tests for the runner fleet monitor, progress reporter, and wiring."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from repro.obs import MetricsRegistry, Tracer, validate_metrics
 from repro.runner import (
@@ -14,6 +20,8 @@ from repro.runner import (
 )
 from repro.runner.telemetry import _format_seconds
 from repro.sim import DATAFLOW, FOURW
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 class FakeClock:
@@ -221,6 +229,37 @@ def test_format_seconds_units():
     assert _format_seconds(42.4) == "42s"
     assert _format_seconds(90.0) == "1.5m"
     assert _format_seconds(5400.0) == "1.5h"
+
+
+def test_groups_sharing_a_label_are_tracked_apart():
+    """One cipher's feature levels share a display label, not a group."""
+    events = []
+    with make_monitor(events, FakeClock(), jobs=2) as monitor:
+        for level in ("NOROT", "ROT", "OPT"):
+            monitor.dispatch(("RC6", level), "RC6/encrypt:64B")
+        for level in ("NOROT", "ROT", "OPT"):
+            monitor.complete(("RC6", level))
+    kinds = [event["type"] for event in events]
+    assert kinds.count("dispatch") == kinds.count("group-done") == 3
+    assert {event["group"] for event in events
+            if event["type"] in ("dispatch", "group-done")} == {
+        "RC6/encrypt:64B"}
+
+
+@pytest.mark.parametrize("jobs", [[], ["--jobs", "1"]])
+def test_report_ledger_dispatches_every_group(tmp_path, jobs):
+    """The 64 B report runs 56 groups; the ledger shows each one."""
+    from repro.obs import load_ledger
+
+    ledger = tmp_path / "events.jsonl"
+    subprocess.run(
+        [sys.executable, "-m", "repro.analysis.report", "--session-bytes",
+         "64", "--no-cache", "--events-out", str(ledger), *jobs],
+        check=True, capture_output=True, env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    kinds = [event["type"] for event in load_ledger(ledger)
+             if event["source"] == "runner"]
+    assert kinds.count("dispatch") == kinds.count("group-done") == 56
 
 
 # -- integration with the runner ------------------------------------------

@@ -1,8 +1,18 @@
 """Tests for the from-scratch pi hex digit generator."""
 
+import hashlib
+
 import pytest
 
-from repro.util.pi import pi_hex_words
+from repro.util.pi import _pi_fraction_hex, pi_hex_words
+
+#: SHA-256 of the digit strings Blowfish (8336 hex digits: P-array plus
+#: S-boxes) and Mars (12432: its S-box at word offset 1042) consume,
+#: recorded from an independent computation by Machin's formula.
+PINNED_DIGESTS = {
+    8336: "b46dc3f3fa23a8d5b68b48f28e8132000cf3820fe7ea531587cc012a08c56976",
+    12432: "cef1b45f8747bbf0e874063e4c02e199c405baec48efd0d10a61fe2fbd5498ab",
+}
 
 
 def test_first_words_match_known_pi_digits():
@@ -39,3 +49,11 @@ def test_negative_arguments_rejected():
 
 def test_zero_count():
     assert pi_hex_words(0) == []
+
+
+@pytest.mark.parametrize("num_digits", sorted(PINNED_DIGESTS))
+def test_cipher_digit_streams_match_pins(num_digits):
+    digits = _pi_fraction_hex(num_digits)
+    assert len(digits) == num_digits
+    assert (hashlib.sha256(digits.encode()).hexdigest()
+            == PINNED_DIGESTS[num_digits])
