@@ -18,8 +18,8 @@ functional run without ever invoking the timing model:
   slots + a fixed slop.  Dynamic cost is ``sum(count_b * u_b)`` over the
   block execution counts observed in the trace, plus a full mispredict
   penalty for every conditional-branch execution and the *exact* extra
-  memory-hierarchy cycles obtained by replaying the trace's addresses
-  through a fresh cache model (:func:`replay_memory`).  The induction:
+  memory-hierarchy cycles read off the timing model's trace-order
+  outcome column (:func:`replay_memory`).  The induction:
   if cycle ``C`` bounds every completion and retirement through dynamic
   block ``m``, then block ``m+1`` finds all operands, window slots and
   resources free after ``C``, and finishes within ``u_b`` more cycles.
@@ -137,43 +137,42 @@ def replay_memory(
     config: "MachineConfig",
     warm_ranges: "list[tuple[int, int]] | None" = None,
 ) -> MemoryReplay:
-    """Walk the trace in program order through a fresh memory model.
+    """Fold the trace's outcome column into memory-system counts.
 
-    Drives a fresh :class:`repro.sim.timing.stages.MemoryOrderState` with
-    the generic engine's access pattern exactly (same hierarchy, same
-    warm ranges, same store queue, same SBox-cache scheduling rule), so
-    the counts are those the simulation will see.  Only whether a read
-    forwards matters here, so every store is queued as data-ready at
-    cycle 1.
+    The column comes from the timing model's own trace-order pass
+    (:class:`repro.sim.timing.stages.OutcomeColumns`: same hierarchy,
+    same warm ranges, same store queue, same SBox-cache scheduling rule),
+    so the counts are those the simulation will see.
     """
-    from repro.sim.timing.stages import MemoryOrderState
-
-    memorder = MemoryOrderState(config, warm_ranges)
-    hierarchy = memorder.hierarchy
-    sbox_array = memorder.sbox_array
-    probe_stores = memorder.probe_stores
-    push_store = memorder.push_store
-    prune_interval = config.prune_interval
+    from repro.sim.timing.stages import (
+        _O_ALIASED,
+        _O_LOAD,
+        _O_SBOX_CACHE,
+        _O_SBOX_DCACHE,
+        _O_STORE,
+        OutcomeColumns,
+        new_column,
+    )
 
     static = trace.static
+    seq = trace.seq
+    outcomes = OutcomeColumns(config, static, warm_ranges)
+    cols = new_column(len(seq))
+    outcomes.fill(seq, trace.addrs, None, 0, len(seq), None, cols)
+    kinds = outcomes.kinds
+    sbox_count = config.sbox_caches or 0
     klass = static.klass
-    mem_size = static.mem_size
     sbox_table = static.sbox_table
-    sbox_aliased = static.sbox_aliased
     is_cond = static.is_cond_branch
 
-    out = MemoryReplay(sport_uses=[0] * (config.sbox_caches or 0))
+    out = MemoryReplay(sport_uses=[0] * sbox_count)
     counts: dict[str, int] = {}
-    seq = trace.seq
-    addrs = trace.addrs
     mul_costs = {
         "mul32": config.mul32_cost,
         "mul64": config.mul64_cost,
         "mulmod": config.mulmod_cost,
     }
-
-    for j in range(len(seq)):
-        s = seq[j]
+    for s, outcome in zip(seq, cols):
         k = klass[s]
         counts[k] = counts.get(k, 0) + 1
         if is_cond[s]:
@@ -181,44 +180,21 @@ def replay_memory(
         cost = mul_costs.get(k)
         if cost is not None:
             out.mul_cost += cost
-        if k == "load":
-            addr = addrs[j]
-            if probe_stores(addr, mem_size[s]):
+        kind = kinds[s]
+        if kind == _O_LOAD or kind == _O_ALIASED:
+            if outcome < 0:
                 out.forwarded += 1
             else:
                 out.dport_uses += 1
-                if hierarchy is not None:
-                    out.extra_cycles += hierarchy.access(addr)
-        elif k == "store":
-            addr = addrs[j]
+                out.extra_cycles += outcome
+        elif kind == _O_STORE:
             out.dport_uses += 1
-            if hierarchy is not None:
-                hierarchy.access(addr, is_store=True)
-            push_store(addr, mem_size[s], 1)
-            if not memorder.store_count % prune_interval:
-                memorder.prune_store_map(memorder.store_count)
-        elif k == "sbox":
-            addr = addrs[j]
-            if sbox_aliased[s]:
-                if probe_stores(addr, 4):
-                    out.forwarded += 1
-                else:
-                    out.dport_uses += 1
-                    if hierarchy is not None:
-                        out.extra_cycles += hierarchy.access(addr)
-            elif sbox_array is not None \
-                    and sbox_table[s] < sbox_array.count:
-                table = sbox_table[s]
-                out.sport_uses[table % sbox_array.count] += 1
-                if not sbox_array.access(table, addr):
-                    out.sbox_misses += 1
-            else:
-                out.dport_uses += 1
-                if hierarchy is not None:
-                    out.extra_cycles += hierarchy.access(addr)
-        elif k == "sync":
-            if sbox_array is not None:
-                sbox_array.sync(sbox_table[s])
+        elif kind == _O_SBOX_CACHE:
+            out.sport_uses[sbox_table[s] % sbox_count] += 1
+            out.sbox_misses += outcome
+        elif kind == _O_SBOX_DCACHE:
+            out.dport_uses += 1
+            out.extra_cycles += outcome
 
     out.instructions = len(seq)
     out.class_counts = counts

@@ -111,11 +111,17 @@ class RunResult:
 class RunnerStats:
     """Aggregate counters for one runner's lifetime.
 
-    Wall time is accounted per phase -- functional simulation, timing
+    Time is accounted per phase -- functional simulation, timing
     simulation, and cache probing (key hashing + disk lookups) -- and
     covers work done in pool workers too: workers report their functional
     time back with their results, and timing time comes from the records.
-    ``wall_time`` is the sum of the phases.
+    ``wall_time`` is the sum of the phases: worker-seconds, which exceed
+    the elapsed time when the pool runs groups side by side.
+
+    ``timing_iterations`` / ``iterations_replayed`` count the loop
+    iterations the timing runs crossed and how many of them the loop memo
+    replayed (:mod:`repro.sim.timing.memo`); they come from the records,
+    not from :class:`~repro.sim.stats.SimStats`.
     """
 
     cache_hits: int = 0
@@ -123,6 +129,8 @@ class RunnerStats:
     functional_runs: int = 0
     timing_runs: int = 0
     instructions_simulated: int = 0
+    timing_iterations: int = 0
+    iterations_replayed: int = 0
     wall_time_functional: float = 0.0
     wall_time_timing: float = 0.0
     wall_time_cache: float = 0.0
@@ -152,7 +160,9 @@ class RunnerStats:
             f"{self.cache_misses} misses, {self.functional_runs} functional "
             f"+ {self.timing_runs} timing runs, "
             f"{self.instructions_simulated} instructions simulated, "
-            f"{self.wall_time:.1f}s wall "
+            f"{self.iterations_replayed}/{self.timing_iterations} timing "
+            f"iterations replayed, "
+            f"{self.wall_time:.1f} worker-s "
             f"(functional {self.wall_time_functional:.1f}s, "
             f"timing {self.wall_time_timing:.1f}s, "
             f"cache {self.wall_time_cache:.1f}s)"
@@ -549,6 +559,9 @@ class Runner:
                 self.stats.timing_runs += 1
                 self.stats.instructions_simulated += result.stats.instructions
                 self.stats.wall_time_timing += result.wall_time
+                iterations, replayed = record.get("memo", (0, 0))
+                self.stats.timing_iterations += iterations
+                self.stats.iterations_replayed += replayed
                 if self.metrics is not None:
                     # Folded from the record, so pool results count the
                     # same as serial ones.
@@ -705,8 +718,13 @@ class Runner:
                             "timing",
                             {"cipher": options.cipher,
                              "config": config.name}) as span_args:
-                stats = simulate(run.trace, config, warm,
-                                 engine=self._resolved_timing_engine(options))
+                pipeline = make_pipeline(
+                    config, run.trace.static, run.trace.program,
+                    warm_ranges=warm,
+                    engine=self._resolved_timing_engine(options))
+                for chunk in run.trace.chunks(None):
+                    pipeline.feed(chunk)
+                stats = pipeline.finish()
                 span_args["cycles"] = stats.cycles
             elapsed = time.perf_counter() - start
             records.append({
@@ -717,6 +735,7 @@ class Runner:
                 "session_bytes": options.session_bytes,
                 "stats": _stats_to_dict(stats),
                 "wall_time": elapsed,
+                "memo": list(pipeline.memo_counts),
             })
         return records
 
@@ -873,6 +892,7 @@ class Runner:
                 "session_bytes": options.session_bytes,
                 "stats": _stats_to_dict(stats),
                 "wall_time": elapsed,
+                "memo": list(pipeline.memo_counts),
             })
         return records
 
@@ -1009,6 +1029,9 @@ class Runner:
             stats_list[index] = stats
             self.stats.timing_runs += 1
             self.stats.instructions_simulated += stats.instructions
+            iterations, replayed = pipeline.memo_counts
+            self.stats.timing_iterations += iterations
+            self.stats.iterations_replayed += replayed
             if self.metrics is not None:
                 record_sim_metrics(self.metrics, configs[index], stats)
             if keys[index] is not None:

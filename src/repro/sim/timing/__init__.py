@@ -33,8 +33,9 @@ the pass computes the pure dataflow critical path.
 
 **Streaming.**  The pass is organized as a pipeline whose stage components
 -- :class:`FrontendState`, :class:`SchedulerState`,
-:class:`MemoryOrderState`, :class:`AttributionState` -- carry their state
-across :class:`~repro.sim.trace.TraceChunk` boundaries.  The pipeline
+:class:`~repro.sim.timing.stages.OrderingState`, :class:`AttributionState`
+-- carry their state across :class:`~repro.sim.trace.TraceChunk`
+boundaries.  The pipeline
 consumes any :class:`~repro.sim.trace.TraceSource` (a materialized
 :class:`~repro.sim.trace.Trace` or a live
 :class:`~repro.sim.machine.StreamingTrace`) chunk by chunk and produces
@@ -44,6 +45,20 @@ plus at most one entry of lookahead (branch outcomes are inferred from the
 next trace entry; the pipeline defers the final entry of each chunk until
 the next chunk's first entry arrives).  :func:`simulate` is the one-call
 wrapper.  See ``docs/architecture.md`` and ``docs/timing.md``.
+
+**Outcome columns.**  Cache hits and misses, store-to-load forwarding
+and branch predictions depend on trace order alone, never on a cycle, so
+a trace-order pass (:class:`~repro.sim.timing.stages.OutcomeColumns`)
+decides them for each chunk before the timing loop reads them; the loop
+never reads an address.
+
+**Memoized iterations.**  Crypto kernels are one loop with a long
+unrolled body, and the machine reaches the same relative state at
+almost every loop-header crossing.  The generic engine keys that state
+relative to a cycle horizon, together with the next iteration's path and
+outcome columns, and on a hit replays the recorded effect instead of
+simulating the iteration (:mod:`repro.sim.timing.memo`, after FastSim).
+Results are bit-identical with the memo on or off.
 
 **Stall attribution.**  On machines with a finite ``issue_width`` the pass
 additionally produces an exact cycle account -- the paper's SimpleView

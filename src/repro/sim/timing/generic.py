@@ -11,7 +11,9 @@ flags), and its output defines correctness for every other engine: the
 Everything an instruction's static metadata and the machine config
 decide is resolved once per pipeline into a per-static-instruction
 *plan* (:func:`_build_plan`), so the loop unpacks one tuple per dynamic
-instruction instead of re-dispatching on its class string.
+instruction instead of re-dispatching on its class string.  Memory and
+branch outcomes come from the trace-order outcome column; repeated loop
+iterations may be replayed instead of run (:mod:`repro.sim.timing.memo`).
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def _build_plan(pipeline: "GenericPipeline") -> list[tuple]:
     scheduler = pipeline.scheduler
     issue_width = pipeline._issue_width
     track_issue = pipeline._track_issue
-    sbox_array = pipeline.memorder.sbox_array
+    sbox_array = pipeline.outcomes.memorder.sbox_array
 
     def pool(used, limit, costs=(1,)):
         if limit == _UNLIMITED or (track_issue and limit >= issue_width
@@ -127,7 +129,7 @@ def _build_plan(pipeline: "GenericPipeline") -> list[tuple]:
         if static.is_branch[s]:
             branch = (_BR_CONDITIONAL
                       if static.is_cond_branch[s]
-                      and pipeline.frontend.predictor is not None
+                      and not config.perfect_branch_prediction
                       else _BR_PREDICTED)
         plan.append((code, *resources, static.dest[s], static.srcs[s],
                      branch))
@@ -140,15 +142,15 @@ class GenericPipeline(PipelineBase):
     engine_name = "generic"
 
     def __init__(self, config, static, program, warm_ranges=None,
-                 schedule_range=None):
+                 schedule_range=None, _memo=True):
         super().__init__(config, static, program, warm_ranges=warm_ranges,
-                         schedule_range=schedule_range)
+                         schedule_range=schedule_range, _memo=_memo)
         self._plan = _build_plan(self)
 
     def _advance(
         self,
         seq,
-        addrs,
+        cols,
         taken_arr,
         base_pos: int,
         lo: int,
@@ -157,7 +159,8 @@ class GenericPipeline(PipelineBase):
     ) -> None:
         """Process trace entries ``seq[lo:hi]``.
 
-        ``base_pos`` is the global trace position of ``seq[0]``.
+        ``base_pos`` is the global trace position of ``seq[0]``; ``cols``
+        is the chunk's outcome column (:class:`OutcomeColumns`).
         ``taken_arr`` carries explicit branch outcomes when present;
         otherwise outcomes are inferred from the following entry --
         ``seq[j + 1]`` in-bounds, else ``next_s`` (the first entry of the
@@ -177,20 +180,15 @@ class GenericPipeline(PipelineBase):
         stats = self.stats
         frontend = self.frontend
         scheduler = self.scheduler
-        memorder = self.memorder
+        ordering = self.ordering
         attribution = self.attribution
         plan = self._plan
 
         addr_srcs = static.addr_srcs
-        mem_size = static.mem_size
-        sbox_table = static.sbox_table
-
-        predictor = frontend.predictor
-        hierarchy = memorder.hierarchy
-        sbox_array = memorder.sbox_array
 
         issue_used = scheduler.issue_used
         issue_get = issue_used.get
+        saturated = scheduler.saturated
         reg_ready = scheduler.reg_ready
         retire_ring = scheduler.retire_ring
         retire_prev = scheduler.retire_prev
@@ -218,10 +216,11 @@ class GenericPipeline(PipelineBase):
         groups_per_cycle = config.fetch_groups_per_cycle
         break_on_taken = config.fetch_break_on_taken and fetch_width is not None
 
-        last_store_addr_known = memorder.last_store_addr_known
-        probe_stores = memorder.probe_stores
-        push_store = memorder.push_store
-        sync_barrier = memorder.sync_barrier
+        last_store_addr_known = ordering.last_store_addr_known
+        store_ready = ordering.store_ready
+        ready_get = store_ready.get
+        store_count = ordering.store_count
+        sync_barrier = ordering.sync_barrier
 
         if attribute:
             label = attribution.labels.append
@@ -278,16 +277,18 @@ class GenericPipeline(PipelineBase):
                 operand_end = request = earliest + 1
                 if not perfect_alias and last_store_addr_known > request:
                     request = last_store_addr_known
-                addr = addrs[j]
-                forward = probe_stores(addr, mem_size[s])
-                if forward:
+                outcome = cols[j]
+                if outcome < 0:
+                    # Forwarded from the store -outcome stores back; a
+                    # pruned data-ready cycle can no longer bind.
+                    forward = ready_get(store_count + outcome + 1, 0)
                     if forward > request:
                         request = forward
                     pool = None
                     latency = 1
                     store_forwards += 1
-                elif hierarchy is not None:
-                    latency += hierarchy.access(addr)
+                else:
+                    latency += outcome
                 loads += 1
             elif code == _K_STORE:
                 # The address resolves when the base register is ready.
@@ -299,8 +300,6 @@ class GenericPipeline(PipelineBase):
                 addr_known += 1
                 operand_end = request = (earliest if earliest > addr_known
                                          else addr_known)
-                if hierarchy is not None:
-                    hierarchy.access(addrs[j], True)
                 if not perfect_alias and addr_known > last_store_addr_known:
                     last_store_addr_known = addr_known
                 stores += 1
@@ -309,22 +308,22 @@ class GenericPipeline(PipelineBase):
                 operand_end = request = earliest
                 if not perfect_alias and last_store_addr_known > request:
                     request = last_store_addr_known
-                addr = addrs[j]
-                forward = probe_stores(addr, 4)
-                if forward:
+                outcome = cols[j]
+                if outcome < 0:
+                    forward = ready_get(store_count + outcome + 1, 0)
                     if forward > request:
                         request = forward
                     pool = None
                     latency = 1
                     store_forwards += 1
-                elif hierarchy is not None:
-                    latency += hierarchy.access(addr)
+                else:
+                    latency += outcome
                 sbox_accesses += 1
             elif code == _K_SBOX_CACHE:
                 operand_end = request = earliest
                 if sync_barrier > request:
                     request = sync_barrier
-                if not sbox_array.access(sbox_table[s], addrs[j]):
+                if cols[j]:
                     latency += sbox_miss_lat
                     sbox_cache_misses += 1
                 sbox_accesses += 1
@@ -332,13 +331,10 @@ class GenericPipeline(PipelineBase):
                 operand_end = request = earliest
                 if sync_barrier > request:
                     request = sync_barrier
-                if hierarchy is not None:
-                    latency += hierarchy.access(addrs[j])
+                latency += cols[j]
                 sbox_accesses += 1
             else:  # _K_SYNC
                 operand_end = request = earliest
-                if sbox_array is not None:
-                    sbox_array.sync(sbox_table[s])
 
             # ---- issue: first cycle >= request with a slot and unit room --
             issued = request
@@ -368,18 +364,36 @@ class GenericPipeline(PipelineBase):
                     pool[issued] = busy + cost
                 issue_used[issued] = used + 1
             elif pool is not None:
+                # No slot account here, so saturated cycles are skipped
+                # without recording bumps: ``full[c]`` is a later cycle
+                # with every cycle from ``c`` up to it saturated.
                 busy = pool.get(issued, 0)
                 if busy + cost > limit:
-                    bumps = []
-                    while busy + cost > limit:
-                        bumps.append(pool_cat)
+                    full = saturated[id(pool)]
+                    while True:
+                        nxt = full.get(issued)
+                        if nxt is not None:
+                            path = []
+                            while nxt is not None:
+                                path.append(issued)
+                                issued = nxt
+                                nxt = full.get(issued)
+                            for cycle in path:
+                                full[cycle] = issued
+                            busy = pool.get(issued, 0)
+                        if busy + cost <= limit:
+                            break
                         issued += 1
                         busy = pool.get(issued, 0)
-                pool[issued] = busy + cost
+                busy += cost
+                pool[issued] = busy
+                if busy >= limit:
+                    saturated[id(pool)][issued] = issued + 1
             complete = issued + latency
             if code >= _K_STORE:
                 if code == _K_STORE:
-                    push_store(addrs[j], mem_size[s], complete)
+                    store_count += 1
+                    store_ready[store_count] = complete
                 else:
                     sync_barrier = complete
 
@@ -432,8 +446,7 @@ class GenericPipeline(PipelineBase):
                     else:
                         taken = next_s != s + 1
                 branches += 1
-                if (branch == _BR_CONDITIONAL
-                        and not predictor.predict_and_update(s, taken)):
+                if branch == _BR_CONDITIONAL and cols[j]:
                     mispredictions += 1
                     redirect = complete + mispredict_penalty
                     if redirect > fetch_cycle:
@@ -483,8 +496,7 @@ class GenericPipeline(PipelineBase):
                 # guards the retirement frontier the same way.
                 if attribute:
                     attribution.frontier = frontier
-                self._prune_maps(min(dispatch_floor, retire_prev) - 8192,
-                                 memorder.store_count)
+                self._prune_maps(min(dispatch_floor, retire_prev) - 8192)
 
         # ---- write carried state back to the stage components -------------
         frontend.fetch_cycle = fetch_cycle
@@ -495,8 +507,9 @@ class GenericPipeline(PipelineBase):
         scheduler.retire_count = retire_count
         scheduler.max_complete = max_complete
         scheduler.prune_mark = prune_mark
-        memorder.last_store_addr_known = last_store_addr_known
-        memorder.sync_barrier = sync_barrier
+        ordering.last_store_addr_known = last_store_addr_known
+        ordering.store_count = store_count
+        ordering.sync_barrier = sync_barrier
         if attribute:
             attribution.frontier = frontier
         stats.loads += loads

@@ -13,9 +13,10 @@ generic interpreter re-derives per dynamic instruction:
   table ids and branch metadata become literals;
 * issue/FU checks for unlimited resources are elided entirely, as is the
   whole attribution pass on machines without slot accounting;
-* register-ready times live in locals, the store-queue byte-map probes
-  and pushes are unrolled per access, and the cache hierarchy's all-hit
-  path (the one ``MemoryHierarchy.access`` tests first) is inlined;
+* register-ready times live in locals, and memory accesses, SBox-cache
+  reads and conditional branches read their outcome from the trace-order
+  outcome column (:class:`~repro.sim.timing.stages.OutcomeColumns`) the
+  generic loop reads too;
 * per-instruction wait rows are pinned as locals.
 
 The generated code advances the same stage state the generic engine
@@ -288,7 +289,6 @@ def _generate(ir: TimingIR, static, config: MachineConfig, func_name: str):
     window = config.window_size
     fetch_width = config.fetch_width
     track_fgu = config.fetch_groups_per_cycle > 1
-    perfect_memory = config.perfect_memory
     perfect_alias = config.perfect_alias
     has_predictor = not config.perfect_branch_prediction
     sbox_caches = config.sbox_caches
@@ -297,7 +297,7 @@ def _generate(ir: TimingIR, static, config: MachineConfig, func_name: str):
     # ---- scan the blocks for which machinery the code needs ---------------
     used_regs: set[int] = set()
     used_sports: set[int] = set()
-    uses_hier = uses_sync = uses_pred = False
+    uses_sync = False
     uses_dport = uses_ialu = uses_rot = uses_mul = False
     uses_store = uses_fwd = uses_sbmiss = False
     for block in ir.blocks:
@@ -309,26 +309,18 @@ def _generate(ir: TimingIR, static, config: MachineConfig, func_name: str):
                 used_regs.add(static.dest[s])
             if k == "load":
                 uses_fwd = True
-                if not perfect_memory:
-                    uses_hier = True
                 uses_dport = True
             elif k == "store":
                 uses_store = True
-                if not perfect_memory:
-                    uses_hier = True
                 uses_dport = True
             elif k == "sbox":
                 if static.sbox_aliased[s]:
                     uses_fwd = True
-                    if not perfect_memory:
-                        uses_hier = True
                     uses_dport = True
                 elif sbox_caches and static.sbox_table[s] < sbox_caches:
                     used_sports.add(static.sbox_table[s] % sbox_caches)
                     uses_sbmiss = True
                 else:
-                    if not perfect_memory:
-                        uses_hier = True
                     uses_dport = True
             elif k == "sync":
                 uses_sync = True
@@ -338,9 +330,6 @@ def _generate(ir: TimingIR, static, config: MachineConfig, func_name: str):
                 uses_rot = True
             elif k in ("mul32", "mul64", "mulmod"):
                 uses_mul = True
-            if (static.is_branch[s] and static.is_cond_branch[s]
-                    and has_predictor):
-                uses_pred = True
     uses_dport = uses_dport and dports != _UNLIMITED
     uses_ialu = uses_ialu and num_ialu != _UNLIMITED
     uses_rot = uses_rot and num_rot != _UNLIMITED
@@ -353,7 +342,7 @@ def _generate(ir: TimingIR, static, config: MachineConfig, func_name: str):
         lines.append("    " * indent + text if text else "")
 
     # ---- prelude: pin carried state into locals ---------------------------
-    w(0, f"def {func_name}(self, seq, addrs, base_pos, lo, hi, next_s):")
+    w(0, f"def {func_name}(self, seq, cols, base_pos, lo, hi, next_s):")
     w(1, "fe = self.frontend")
     w(1, "fc = fe.fetch_cycle")
     w(1, "fsu = fe.fetch_slots_used")
@@ -390,37 +379,18 @@ def _generate(ir: TimingIR, static, config: MachineConfig, func_name: str):
         w(1, "rcount = sch.retire_count")
     w(1, "maxc = sch.max_complete")
     w(1, "pm = sch.prune_mark")
-    w(1, "mo = self.memorder")
+    w(1, "od = self.ordering")
     if not perfect_alias and (uses_store or uses_fwd):
-        w(1, "lsk = mo.last_store_addr_known")
+        w(1, "lsk = od.last_store_addr_known")
     if uses_sync or any(
         static.klass[s] == "sbox" and not static.sbox_aliased[s]
         for b in ir.blocks for s in range(b.leader, b.leader + b.length)
     ):
-        w(1, "syncb = mo.sync_barrier")
+        w(1, "syncb = od.sync_barrier")
     if uses_store or uses_fwd:
-        w(1, "sm = mo.store_map")
-        w(1, "smg = sm.get")
-        w(1, "sc = mo.store_count")
-    if uses_hier:
-        w(1, "H = mo.hierarchy")
-        w(1, "HACC = H.access")
-        w(1, "LSETS = H.l1.sets")
-        w(1, "TSETS = H.tlb.cache.sets")
-        w(1, "l1h = 0")
-        w(1, "tlbh = 0")
-    if use_sports or uses_sync:
-        w(1, "sba = mo.sbox_array")
-    if use_sports:
-        for port in sorted(used_sports):
-            w(1, f"sb{port} = sba.caches[{port}]")
-    if uses_sync:
-        w(1, "sbsync = sba.sync if sba is not None else None")
-    if uses_pred:
-        w(1, "pred = fe.predictor")
-        w(1, "pt = pred.table")
-        w(1, "plk = 0")
-        w(1, "pmi = 0")
+        w(1, "sr = od.store_ready")
+        w(1, "srg = sr.get")
+        w(1, "sc = od.store_count")
     if attribute:
         w(1, "att = self.attribution")
         w(1, "raa = att.labels.append")
@@ -523,51 +493,12 @@ def _generate(ir: TimingIR, static, config: MachineConfig, func_name: str):
         else:
             count("issue_checks_elided")
 
-    def emit_hier(ind: int, addr_expr: str, is_store: bool) -> None:
-        """Inline the hierarchy's all-hit path; delegate otherwise.
-
-        The probe phase (``in`` tests) mutates nothing, so on any miss the
-        delegated ``MemoryHierarchy.access`` call replays the full access
-        against untouched state; on the all-hit path the commit applies
-        exactly the LRU reorders and hit counts ``access`` would.
-        """
-        count("memory_fast_paths")
-        blk = config.l1_block
-        l1_ns = config.l1_size // (config.l1_assoc * config.l1_block)
-        tlb_ns = config.tlb_entries // config.tlb_assoc
-        w(ind, f"ab = {_div(addr_expr, blk)}")
-        w(ind, f"ls = LSETS[{_mod('ab', l1_ns)}]")
-        w(ind, f"pg = {_div(addr_expr, config.page_size)}")
-        w(ind, f"ts = TSETS[{_mod('pg', tlb_ns)}]")
-        w(ind, "if pg in ts and ab in ls and "
-               f"ab + 1 in LSETS[{_mod('(ab + 1)', l1_ns)}]:")
-        w(ind + 1, "if ts[-1] != pg:")
-        w(ind + 2, "ts.remove(pg)")
-        w(ind + 2, "ts.append(pg)")
-        w(ind + 1, "tlbh += 1")
-        w(ind + 1, "if ls[-1] != ab:")
-        w(ind + 2, "ls.remove(ab)")
-        w(ind + 2, "ls.append(ab)")
-        w(ind + 1, "l1h += 1")
-        if not is_store:
-            w(ind + 1, "ex = 0")
-        w(ind, "else:")
-        if is_store:
-            w(ind + 1, f"HACC({addr_expr}, True)")
-        else:
-            w(ind + 1, f"ex = HACC({addr_expr})")
-
-    def emit_forward(ind: int, addr_expr: str, size: int) -> None:
-        """Unrolled store-map probe: latest live overlapping store."""
-        count("forward_probes_unrolled", size)
-        w(ind, f"bo = sc - {lsq}")
-        w(ind, "fwd = 0")
-        for byte in range(size):
-            expr = addr_expr if byte == 0 else f"{addr_expr} + {byte}"
-            w(ind, f"f = smg({expr})")
-            w(ind, "if f is not None and f[0] > bo:")
-            w(ind + 1, "bo = f[0]")
-            w(ind + 1, "fwd = f[1]")
+    def emit_forward(ind: int, col_expr: str) -> None:
+        """Forwarded-or-not from the outcome column; ``o`` keeps it."""
+        count("forward_probes_unrolled")
+        w(ind, f"o = {col_expr}")
+        w(ind, "if o < 0:")
+        w(ind + 1, "fwd = srg(sc + o + 1, 0)")
 
     def emit_attr(ind: int, s: int, oe_expr: str, rq_expr: str,
                   has_alias: bool) -> None:
@@ -639,7 +570,7 @@ def _generate(ir: TimingIR, static, config: MachineConfig, func_name: str):
             k = static.klass[s]
             count("latencies_folded")
             pos_expr = "pos" if i == 0 else f"(pos + {i})"
-            addr_expr = "addrs[j]" if i == 0 else f"addrs[j + {i}]"
+            col_expr = "cols[j]" if i == 0 else f"cols[j + {i}]"
             w(3, f"# [{s}] {k}")
 
             # ---- fetch ---------------------------------------------------
@@ -709,9 +640,7 @@ def _generate(ir: TimingIR, static, config: MachineConfig, func_name: str):
                     w(3, "ar = oe")
                 else:
                     w(3, "ar = oe if oe > lsk else lsk")
-                w(3, f"a = {addr_expr}")
-                emit_forward(3, "a", static.mem_size[s])
-                w(3, "if fwd:")
+                emit_forward(3, col_expr)
                 w(4, "rq = ar if ar > fwd else fwd")
                 emit_issue(4, "rq", None)
                 w(4, "cm = c + 1")
@@ -719,11 +648,8 @@ def _generate(ir: TimingIR, static, config: MachineConfig, func_name: str):
                 w(3, "else:")
                 w(4, "rq = ar")
                 emit_issue(4, "rq", fu_dport)
-                if perfect_memory:
-                    w(4, f"cm = c + {config.load_latency - 1}")
-                else:
-                    emit_hier(4, "a", False)
-                    w(4, f"cm = c + ex + {config.load_latency - 1}")
+                count("memory_fast_paths")
+                w(4, f"cm = c + o + {config.load_latency - 1}")
                 emit_attr(3, s, "oe", "rq", True)
             elif k == "store":
                 n_stores += 1
@@ -735,29 +661,21 @@ def _generate(ir: TimingIR, static, config: MachineConfig, func_name: str):
                 w(3, "ak += 1")
                 w(3, "rq = e if e > ak else ak")
                 emit_issue(3, "rq", fu_dport)
-                w(3, f"a = {addr_expr}")
-                if not perfect_memory:
-                    emit_hier(3, "a", True)
                 w(3, f"cm = c + {config.store_latency}")
                 if not perfect_alias:
                     w(3, "if ak > lsk:")
                     w(4, "lsk = ak")
                 w(3, "sc += 1")
-                w(3, "f = (sc, cm)")
-                for byte in range(static.mem_size[s]):
-                    expr = "a" if byte == 0 else f"a + {byte}"
-                    w(3, f"sm[{expr}] = f")
+                w(3, "sr[sc] = cm")
                 emit_attr(3, s, "rq", "rq", False)
             elif k == "sbox":
                 n_sbox += 1
-                w(3, f"a = {addr_expr}")
                 if static.sbox_aliased[s]:
                     if perfect_alias:
                         w(3, "ar = e")
                     else:
                         w(3, "ar = e if e > lsk else lsk")
-                    emit_forward(3, "a", 4)
-                    w(3, "if fwd:")
+                    emit_forward(3, col_expr)
                     w(4, "rq = ar if ar > fwd else fwd")
                     emit_issue(4, "rq", None)
                     w(4, "cm = c + 1")
@@ -765,11 +683,8 @@ def _generate(ir: TimingIR, static, config: MachineConfig, func_name: str):
                     w(3, "else:")
                     w(4, "rq = ar")
                     emit_issue(4, "rq", fu_dport)
-                    if perfect_memory:
-                        w(4, f"cm = c + {config.sbox_dcache_latency}")
-                    else:
-                        emit_hier(4, "a", False)
-                        w(4, f"cm = c + ex + {config.sbox_dcache_latency}")
+                    count("memory_fast_paths")
+                    w(4, f"cm = c + o + {config.sbox_dcache_latency}")
                     emit_attr(3, s, "e", "rq", True)
                 elif (sbox_caches
                       and static.sbox_table[s] < sbox_caches):
@@ -780,39 +695,23 @@ def _generate(ir: TimingIR, static, config: MachineConfig, func_name: str):
                     emit_issue(3, "rq", fu)
                     hit_lat = config.sbox_cache_latency
                     miss_lat = hit_lat + config.sbox_dcache_latency
-                    w(3, "t = a & -1024")
-                    w(3, f"if sb{port}.tag == t:")
-                    w(4, f"v = sb{port}.valid")
-                    w(4, "u = (a >> 5) & 31")
-                    w(4, "if v[u]:")
-                    w(5, f"sb{port}.hits += 1")
-                    w(5, f"cm = c + {hit_lat}")
-                    w(4, "else:")
-                    w(5, "v[u] = True")
-                    w(5, f"sb{port}.misses += 1")
-                    w(5, "d_sbm += 1")
-                    w(5, f"cm = c + {miss_lat}")
+                    count("memory_fast_paths")
+                    w(3, f"if {col_expr}:")
+                    w(4, "d_sbm += 1")
+                    w(4, f"cm = c + {miss_lat}")
                     w(3, "else:")
-                    w(4, f"if sb{port}.access(a):")
-                    w(5, f"cm = c + {hit_lat}")
-                    w(4, "else:")
-                    w(5, "d_sbm += 1")
-                    w(5, f"cm = c + {miss_lat}")
+                    w(4, f"cm = c + {hit_lat}")
                     emit_attr(3, s, "e", "rq", True)
                 else:
                     w(3, "rq = e if e > syncb else syncb")
                     emit_issue(3, "rq", fu_dport)
-                    if perfect_memory:
-                        w(3, f"cm = c + {config.sbox_dcache_latency}")
-                    else:
-                        emit_hier(3, "a", False)
-                        w(3, f"cm = c + ex + {config.sbox_dcache_latency}")
+                    count("memory_fast_paths")
+                    w(3, f"cm = c + {col_expr} + "
+                         f"{config.sbox_dcache_latency}")
                     emit_attr(3, s, "e", "rq", True)
             elif k == "sync":
                 emit_issue(3, "e", None)
                 w(3, "cm = c + 1")
-                w(3, "if sbsync is not None:")
-                w(4, f"sbsync({static.sbox_table[s]})")
                 w(3, "syncb = cm")
                 emit_attr(3, s, "e", "e", False)
             else:
@@ -827,8 +726,7 @@ def _generate(ir: TimingIR, static, config: MachineConfig, func_name: str):
                 mispredictable = has_predictor and is_cond
                 breaks = (config.fetch_break_on_taken
                           and fetch_width is not None)
-                need_taken = mispredictable or breaks
-                if need_taken:
+                if breaks:
                     count("branch_lookaheads_inlined")
                     w(3, f"jn = j + {length}")
                     w(3, "if jn < seq_len:")
@@ -838,16 +736,7 @@ def _generate(ir: TimingIR, static, config: MachineConfig, func_name: str):
                     w(3, "else:")
                     w(4, f"tk = next_s != {nextc}")
                 if mispredictable:
-                    slot = s % config.predictor_entries
-                    w(3, f"ct = pt[{slot}]")
-                    w(3, "if tk:")
-                    w(4, "if ct < 3:")
-                    w(5, f"pt[{slot}] = ct + 1")
-                    w(3, "elif ct > 0:")
-                    w(4, f"pt[{slot}] = ct - 1")
-                    w(3, "plk += 1")
-                    w(3, "if (ct >= 2) != tk:")
-                    w(4, "pmi += 1")
+                    w(3, f"if {col_expr}:")
                     w(4, "d_mp += 1")
                     w(4, f"t = cm + {config.mispredict_penalty}")
                     w(4, "if t > fc:")
@@ -916,8 +805,7 @@ def _generate(ir: TimingIR, static, config: MachineConfig, func_name: str):
         w(4, "t = df if df < rp else rp")
         if attribute:
             w(4, "att.frontier = fr")
-        w(4, f"self._prune_maps(t - 8192, "
-             f"{'sc' if (uses_store or uses_fwd) else '0'})")
+        w(4, "self._prune_maps(t - 8192)")
     w(2, "else:")
     w(3, "break")
 
@@ -935,24 +823,14 @@ def _generate(ir: TimingIR, static, config: MachineConfig, func_name: str):
     w(1, "sch.max_complete = maxc")
     w(1, "sch.prune_mark = pm")
     if not perfect_alias and (uses_store or uses_fwd):
-        w(1, "mo.last_store_addr_known = lsk")
+        w(1, "od.last_store_addr_known = lsk")
     if uses_sync or any(
         static.klass[s] == "sbox" and not static.sbox_aliased[s]
         for b in ir.blocks for s in range(b.leader, b.leader + b.length)
     ):
-        w(1, "mo.sync_barrier = syncb")
+        w(1, "od.sync_barrier = syncb")
     if uses_store or uses_fwd:
-        w(1, "mo.store_count = sc")
-    if uses_hier:
-        w(1, "if l1h:")
-        w(2, "H.l1.hits += l1h")
-        w(1, "if tlbh:")
-        w(2, "H.tlb.cache.hits += tlbh")
-    if uses_pred:
-        w(1, "if plk:")
-        w(2, "pred.lookups += plk")
-        w(1, "if pmi:")
-        w(2, "pred.mispredictions += pmi")
+        w(1, "od.store_count = sc")
     if attribute:
         w(1, "att.frontier = fr")
     w(1, "if d_br:")
@@ -1004,25 +882,27 @@ class SpecializedPipeline(GenericPipeline):
                 "SpecializedEngine.make_pipeline falls back to the generic "
                 "engine when schedule_range is given"
             )
-        super().__init__(config, static, program, warm_ranges=warm_ranges)
+        # The block fast path steps whole blocks, so it never memoizes.
+        super().__init__(config, static, program, warm_ranges=warm_ranges,
+                         _memo=False)
         self._ir = timing_ir(static, program)
         self._fast, self.report = specialized_scheduler(
             self._ir, static, config
         )
         self._block_execs = [0] * len(self._ir.blocks)
 
-    def _advance(self, seq, addrs, taken_arr, base_pos, lo, hi, next_s):
+    def _advance(self, seq, cols, taken_arr, base_pos, lo, hi, next_s):
         fast = self._fast
         if taken_arr is not None or fast is None:
-            super()._advance(seq, addrs, taken_arr, base_pos, lo, hi, next_s)
+            super()._advance(seq, cols, taken_arr, base_pos, lo, hi, next_s)
             return
         j = lo
         while j < hi:
-            j = fast(self, seq, addrs, base_pos, j, hi, next_s)
+            j = fast(self, seq, cols, base_pos, j, hi, next_s)
             if j >= hi:
                 break
             # The window at j matches no block: interpret one entry.
-            super()._advance(seq, addrs, None, base_pos, j, j + 1, next_s)
+            super()._advance(seq, cols, None, base_pos, j, j + 1, next_s)
             j += 1
 
     def _finalize_engine(self):

@@ -1,14 +1,15 @@
 """Stage components and the shared chunk-streaming pipeline base.
 
 The timing model is organized as four stage components --
-:class:`FrontendState`, :class:`SchedulerState`, :class:`MemoryOrderState`,
+:class:`FrontendState`, :class:`SchedulerState`, :class:`OrderingState`,
 :class:`AttributionState` -- that carry all inter-instruction state across
 :class:`~repro.sim.trace.TraceChunk` boundaries, plus a
 :class:`PipelineBase` that owns chunk deferral (the one entry of branch
-lookahead) and final statistics assembly.  Engines subclass
-:class:`PipelineBase` and implement ``_advance`` only; everything an
-engine computes lives in the stage components, which is what makes the
-engines interchangeable mid-stream and bit-identical at the end.
+lookahead), the trace-order outcome columns (:class:`OutcomeColumns`) and
+final statistics assembly.  Engines subclass :class:`PipelineBase` and
+implement ``_advance`` only; everything an engine computes lives in the
+stage components, which is what makes the engines interchangeable
+mid-stream and bit-identical at the end.
 
 See the package docstring (:mod:`repro.sim.timing`) for the model's
 scheduling and stall-attribution contracts.
@@ -17,6 +18,7 @@ scheduling and stall-attribution contracts.
 from __future__ import annotations
 
 from array import array
+from itertools import compress
 
 from repro.isa.program import Program
 from repro.sim.branch import BimodalPredictor
@@ -36,23 +38,24 @@ _N_WAIT = len(WAIT_CATEGORIES)
 #: Instruction-view (wait) index of a stall category: categories _C_WINDOW
 #: through _C_FU_SBOX map onto WAIT_CATEGORIES[cat - _C_WINDOW].
 _HOTSPOT_LIMIT = 32
+#: Store data-ready cycles kept before :meth:`PipelineBase.feed` first
+#: drops the ones no later read can forward from (only windowless
+#: machines, whose prune horizon never moves, get near it).  Each drop
+#: doubles the bound over what survives, so the scans stay amortized.
+_STORE_READY_BOUND = 1 << 16
 
 
 class FrontendState:
     """Fetch stage: program-order fetch bandwidth and redirect state."""
 
     __slots__ = ("fetch_cycle", "fetch_slots_used", "fetch_groups_used",
-                 "mispredict_until", "predictor")
+                 "mispredict_until")
 
-    def __init__(self, config: MachineConfig):
+    def __init__(self):
         self.fetch_cycle = 0
         self.fetch_slots_used = 0
         self.fetch_groups_used = 0
         self.mispredict_until = 0
-        self.predictor = (
-            None if config.perfect_branch_prediction
-            else BimodalPredictor(config.predictor_entries)
-        )
 
 
 class SchedulerState:
@@ -68,7 +71,7 @@ class SchedulerState:
     """
 
     __slots__ = ("issue_used", "ialu_used", "rot_used", "mul_used",
-                 "dport_used", "sport_used",
+                 "dport_used", "sport_used", "saturated",
                  "reg_ready", "retire_ring", "retire_prev", "retire_count",
                  "max_complete", "prune_mark", "trim_mark")
 
@@ -79,6 +82,13 @@ class SchedulerState:
         self.mul_used: dict[int, int] = {}
         self.dport_used: dict[int, int] = {}
         self.sport_used = [dict() for _ in range(config.sbox_caches or 0)]
+        #: Per unit map (keyed by its ``id``), without slot accounting:
+        #: saturated cycle -> a later cycle, every cycle between them
+        #: saturated too.  A cache of the maps, so it may be cleared.
+        self.saturated: dict[int, dict[int, int]] = {
+            id(used): {} for used in (self.ialu_used, self.rot_used,
+                                      self.mul_used, self.dport_used,
+                                      *self.sport_used)}
         max_reg = 31
         for d in static.dest:
             if d > max_reg:
@@ -97,22 +107,45 @@ class SchedulerState:
         self.trim_mark = 0
 
 
+class OrderingState:
+    """Memory-ordering stage: the timing side of the store queue.
+
+    Which store a load forwards from is decided in trace order by
+    :class:`OutcomeColumns`, as a distance back in store order; the
+    timing loop only keeps each store's data-ready cycle under its order
+    (``store_ready``, numbered by ``store_count``), plus the latest
+    store-address resolution (``last_store_addr_known``) and the last
+    SBOXSYNC completion (``sync_barrier``).  A data-ready cycle below the
+    prune horizon can no longer delay any later request, so
+    :meth:`PipelineBase._prune_maps` drops it.
+    """
+
+    __slots__ = ("store_ready", "store_count", "last_store_addr_known",
+                 "sync_barrier")
+
+    def __init__(self):
+        self.store_ready: dict[int, int] = {}
+        self.store_count = 0
+        self.last_store_addr_known = 0
+        self.sync_barrier = 0
+
+
 class MemoryOrderState:
-    """Memory-ordering/alias stage: store queue, sync barrier, hierarchies.
+    """Trace-order memory model: store queue, SBox caches, hierarchy.
 
     The store queue is the byte map ``store_map`` of
     ``address -> (store_order, data_ready)`` entries plus a running
     ``store_count``: an entry is live iff its order is within the last
     ``lsq_size`` stores.  A load (or aliased SBOX read) probes the bytes
     it reads; the live entry with the greatest order -- the newest
-    overlapping store still in the queue -- supplies the forwarded
-    data-ready cycle.  Every access costs O(access size), however deep
-    the queue.  The specialized engine's generated code unrolls the same
-    probe and push over this state.
+    overlapping store still in the queue -- is the one it forwards from.
+    Every access costs O(access size), however deep the queue.  None of
+    this depends on timing, so :class:`OutcomeColumns` runs it once per
+    trace entry ahead of the timing loop.
     """
 
-    __slots__ = ("hierarchy", "sbox_array", "last_store_addr_known",
-                 "lsq_size", "store_map", "store_count", "sync_barrier")
+    __slots__ = ("hierarchy", "sbox_array", "lsq_size", "store_map",
+                 "store_count")
 
     def __init__(
         self,
@@ -136,11 +169,9 @@ class MemoryOrderState:
         self.sbox_array = (
             SBoxCacheArray(config.sbox_caches) if config.sbox_caches else None
         )
-        self.last_store_addr_known = 0
         self.lsq_size = config.lsq_size
         self.store_map: dict[int, tuple[int, int]] = {}
         self.store_count = 0
-        self.sync_barrier = 0
 
     def probe_stores(self, addr: int, size: int) -> int:
         """Data-ready cycle forwarded to a ``size``-byte read at ``addr``.
@@ -157,6 +188,20 @@ class MemoryOrderState:
                 order, ready = entry
         return ready
 
+    def forward_distance(self, addr: int, size: int) -> int:
+        """How many stores back the newest live overlapping store is.
+
+        1 is the latest store; 0 means the read does not forward.
+        """
+        get = self.store_map.get
+        count = self.store_count
+        order = count - self.lsq_size
+        for byte in range(addr, addr + size):
+            entry = get(byte)
+            if entry is not None and entry[0] > order:
+                order = entry[0]
+        return count - order + 1 if order > count - self.lsq_size else 0
+
     def push_store(self, addr: int, size: int, data_ready: int) -> None:
         """Enqueue a ``size``-byte store at ``addr``."""
         self.store_count = count = self.store_count + 1
@@ -168,10 +213,9 @@ class MemoryOrderState:
     def prune_store_map(self, store_count: int) -> None:
         """Drop entries aged out of the queue once the map has grown.
 
-        ``store_count`` is the caller's running count (the specialized
-        engine carries it in a local).  Dead entries can never forward
-        again, so dropping them changes no probe result.  Below
-        ``16 * lsq_size`` entries the scan is skipped.
+        ``store_count`` is the running store count.  Dead entries can
+        never forward again, so dropping them changes no probe result.
+        Below ``16 * lsq_size`` entries the scan is skipped.
         """
         store_map = self.store_map
         lsq_size = self.lsq_size
@@ -180,6 +224,135 @@ class MemoryOrderState:
             for address in [a for a, entry in store_map.items()
                             if entry[0] <= cutoff]:
                 del store_map[address]
+
+
+#: Outcome-column classes of a static instruction (what the column pass
+#: does for it); 0 = nothing to decide.
+(_O_LOAD, _O_STORE, _O_ALIASED, _O_SBOX_CACHE, _O_SBOX_DCACHE, _O_SYNC,
+ _O_BRANCH) = range(1, 8)
+
+#: Typecode of the outcome column (signed: forwards are negative).
+COLUMN_TYPECODE = "i"
+
+
+def new_column(n: int) -> array:
+    """A zero-filled outcome column for ``n`` trace entries."""
+    return array(COLUMN_TYPECODE, [0]) * n
+
+
+class OutcomeColumns:
+    """The timing-free outcomes of a trace, computed in trace order.
+
+    Cache hierarchy, SBox caches, the store queue's forward-or-not choice
+    and the branch predictor all see their accesses in trace order and
+    never read a cycle, so their outcomes can be decided before any
+    timing happens.  :meth:`fill` writes one signed integer per trace
+    entry:
+
+    * a load or aliased SBOX read: ``-d`` when it forwards from the store
+      ``d`` stores back, else the hierarchy's extra latency;
+    * an SBOX read on the d-cache path: the extra latency;
+    * an SBox-cache read: 1 on a miss;
+    * a conditional branch on a machine with a predictor: 1 when it is
+      mispredicted;
+    * anything else: 0.
+
+    The timing loop reads this column and never an address.
+    """
+
+    def __init__(self, config: MachineConfig, static: StaticInfo,
+                 warm_ranges: list[tuple[int, int]] | None = None):
+        self.memorder = MemoryOrderState(config, warm_ranges)
+        self.predictor = (
+            None if config.perfect_branch_prediction
+            else BimodalPredictor(config.predictor_entries)
+        )
+        self.prune_interval = config.prune_interval
+        sbox_array = self.memorder.sbox_array
+        kinds = []
+        for s, klass in enumerate(static.klass):
+            kind = 0
+            if klass == "load":
+                kind = _O_LOAD
+            elif klass == "store":
+                kind = _O_STORE
+            elif klass == "sbox" and static.sbox_aliased[s]:
+                kind = _O_ALIASED
+            elif (klass == "sbox" and sbox_array is not None
+                  and static.sbox_table[s] < sbox_array.count):
+                kind = _O_SBOX_CACHE
+            elif klass == "sbox":
+                kind = _O_SBOX_DCACHE
+            elif klass == "sync":
+                kind = _O_SYNC if sbox_array is not None else 0
+            elif static.is_cond_branch[s] and self.predictor is not None:
+                kind = _O_BRANCH
+            kinds.append(kind)
+        #: Per static instruction: its outcome-column class.
+        self.kinds = kinds
+        self.static = static
+
+    def fill(self, seq, addrs, taken_arr, lo: int, hi: int, next_s,
+             cols) -> None:
+        """Decide the outcomes of entries ``seq[lo:hi]`` into ``cols``.
+
+        ``cols`` must be zero-filled.  Branch outcomes come from
+        ``taken_arr`` when given, else from the following entry as in
+        :meth:`PipelineBase._advance` (``next_s`` past the end of
+        ``seq``; ``None`` = end of trace, taken).
+        """
+        kinds = self.kinds
+        static = self.static
+        mem_size = static.mem_size
+        sbox_table = static.sbox_table
+        memorder = self.memorder
+        hierarchy = memorder.hierarchy
+        access = hierarchy.access if hierarchy is not None else None
+        sbox_array = memorder.sbox_array
+        forward_distance = memorder.forward_distance
+        push_store = memorder.push_store
+        predict = (self.predictor.predict_and_update
+                   if self.predictor is not None else None)
+        prune_interval = self.prune_interval
+        seq_len = len(seq)
+        # Visit only the entries with something to decide (the filter
+        # runs in C; most entries are plain ALU work).
+        chunk_kinds = list(map(kinds.__getitem__, seq[lo:hi]))
+        for j, kind in zip(compress(range(lo, hi), chunk_kinds),
+                           filter(None, chunk_kinds)):
+            s = seq[j]
+            if kind == _O_LOAD or kind == _O_ALIASED:
+                addr = addrs[j]
+                d = forward_distance(
+                    addr, mem_size[s] if kind == _O_LOAD else 4)
+                if d:
+                    cols[j] = -d
+                elif access is not None:
+                    cols[j] = access(addr)
+            elif kind == _O_STORE:
+                addr = addrs[j]
+                if access is not None:
+                    access(addr, True)
+                push_store(addr, mem_size[s], 1)
+                if not memorder.store_count % prune_interval:
+                    memorder.prune_store_map(memorder.store_count)
+            elif kind == _O_SBOX_CACHE:
+                if not sbox_array.access(sbox_table[s], addrs[j]):
+                    cols[j] = 1
+            elif kind == _O_SBOX_DCACHE:
+                if access is not None:
+                    cols[j] = access(addrs[j])
+            elif kind == _O_SYNC:
+                sbox_array.sync(sbox_table[s])
+            else:  # _O_BRANCH
+                if taken_arr is not None:
+                    taken = bool(taken_arr[j])
+                elif j + 1 < seq_len:
+                    taken = seq[j + 1] != s + 1
+                else:
+                    taken = next_s is None or next_s != s + 1
+                if not predict(s, taken):
+                    cols[j] = 1
 
 
 class AttributionState:
@@ -219,6 +392,12 @@ class PipelineBase:
     matching ``Trace.taken``).  Chunks with explicit ``taken`` flags
     (synthetic interleavings) need no deferral.
 
+    Each entry's timing-free outcomes are decided by the trace-order
+    column pass (:class:`OutcomeColumns`) before the timing loop reads
+    them.  Ready entries then go to the timing loop directly, or through
+    the loop memo (:class:`repro.sim.timing.memo.LoopMemo`), which may
+    replay whole loop iterations instead.
+
     One pipeline consumes one trace; build a fresh pipeline per run.
     Subclasses (the engines) implement ``_advance`` only.
     """
@@ -233,6 +412,7 @@ class PipelineBase:
         program: Program,
         warm_ranges: list[tuple[int, int]] | None = None,
         schedule_range: tuple[int, int] | None = None,
+        _memo: bool = True,
     ):
         self.config = config
         self.static = static
@@ -254,9 +434,10 @@ class PipelineBase:
         # with unlimited width there is no fixed slot budget to attribute.
         self._attribute = self._track_issue
 
-        self.frontend = FrontendState(config)
+        self.frontend = FrontendState()
         self.scheduler = SchedulerState(config, static)
-        self.memorder = MemoryOrderState(config, warm_ranges)
+        self.ordering = OrderingState()
+        self.outcomes = OutcomeColumns(config, static, warm_ranges)
         self.attribution = (
             AttributionState(static) if self._attribute else None
         )
@@ -272,11 +453,23 @@ class PipelineBase:
                 self._sched_end = self._sched_start + cap
                 self.stats.extra["schedule_truncated"] = True
 
-        #: Deferred final entry of the previous adjacency-mode chunk:
-        #: ``(seq, addrs, start, index)`` referencing that chunk's arrays.
-        self._carry: tuple[array, array, int, int] | None = None
+        #: Deferred final entry of the previous adjacency-mode chunk, its
+        #: outcome not yet decided: ``(seq, addrs, cols, start, index)``.
+        self._carry: tuple | None = None
         self._count = 0
         self._finished = False
+        self._store_bound = _STORE_READY_BOUND
+        self._memo = None
+        if _memo and schedule_range is None:
+            from repro.sim.timing.memo import LoopMemo
+
+            self._memo = LoopMemo.for_pipeline(self)
+
+    @property
+    def memo_counts(self) -> tuple[int, int]:
+        """``(loop iterations seen, iterations replayed)`` so far."""
+        memo = self._memo
+        return (0, 0) if memo is None else (memo.iterations, memo.hits)
 
     def feed(self, chunk: TraceChunk) -> None:
         """Advance the pipeline over one chunk of trace entries."""
@@ -292,19 +485,54 @@ class PipelineBase:
         # Every entry is processed by the time finish() returns: all but
         # the deferred last one now, that one with the next chunk.
         self._count += n
+        if (self._memo is None
+                and len(self.ordering.store_ready) > self._store_bound):
+            self._drop_dead_stores()
+        cols = new_column(n)
+        fill = self.outcomes.fill
+        ready = []
         if self._carry is not None:
-            cseq, caddrs, cstart, cidx = self._carry
+            cseq, caddrs, ccols, cstart, cidx = self._carry
             self._carry = None
-            self._advance(cseq, caddrs, None, cstart, cidx, cidx + 1, seq[0])
+            fill(cseq, caddrs, None, cidx, cidx + 1, seq[0], ccols)
+            ready.append((cseq, ccols, cstart, cidx, cidx + 1, seq[0]))
         if chunk.taken is not None:
-            # Explicit branch outcomes: no lookahead needed, no deferral.
-            self._advance(seq, chunk.addrs, chunk.taken, chunk.start, 0, n,
-                          None)
-        else:
-            if n > 1:
-                self._advance(seq, chunk.addrs, None, chunk.start, 0, n - 1,
-                              None)
-            self._carry = (seq, chunk.addrs, chunk.start, n - 1)
+            # Explicit branch outcomes: no lookahead needed, no deferral,
+            # and no loop structure the memo could rely on.
+            fill(seq, chunk.addrs, chunk.taken, 0, n, None, cols)
+            self._consume(ready)
+            if self._memo is not None:
+                self._memo.close()
+                self._memo = None
+            self._advance(seq, cols, chunk.taken, chunk.start, 0, n, None)
+            return
+        if n > 1:
+            fill(seq, chunk.addrs, None, 0, n - 1, None, cols)
+            ready.append((seq, cols, chunk.start, 0, n - 1, None))
+        self._carry = (seq, chunk.addrs, cols, chunk.start, n - 1)
+        self._consume(ready)
+
+    def _drop_dead_stores(self) -> None:
+        """Keep only the stores the trace-order queue can still forward.
+
+        Every entry with a decided outcome has been timed (the deferred
+        entry's outcome is not decided yet), so a store no byte of the
+        queue maps to any more is never read again.
+        """
+        live = {entry[0] for entry in
+                self.outcomes.memorder.store_map.values()}
+        store_ready = self.ordering.store_ready
+        for order in [o for o in store_ready if o not in live]:
+            del store_ready[order]
+        self._store_bound = max(_STORE_READY_BOUND, 2 * len(store_ready))
+
+    def _consume(self, pieces: list) -> None:
+        """Time ready ``(seq, cols, start, lo, hi, next_s)`` pieces."""
+        if self._memo is not None:
+            self._memo.consume(pieces)
+            return
+        for seq, cols, start, lo, hi, next_s in pieces:
+            self._advance(seq, cols, None, start, lo, hi, next_s)
 
     def finish(self) -> SimStats:
         """Drain the deferred entry and finalize the statistics."""
@@ -312,11 +540,15 @@ class PipelineBase:
             return self.stats
         self._finished = True
         if self._carry is not None:
-            cseq, caddrs, cstart, cidx = self._carry
+            cseq, caddrs, ccols, cstart, cidx = self._carry
             self._carry = None
             # End of trace: the final branch outcome defaults to taken,
             # exactly as ``Trace.taken`` defines it.
-            self._advance(cseq, caddrs, None, cstart, cidx, cidx + 1, None)
+            self.outcomes.fill(cseq, caddrs, None, cidx, cidx + 1, None,
+                               ccols)
+            self._consume([(cseq, ccols, cstart, cidx, cidx + 1, None)])
+        if self._memo is not None:
+            self._memo.close()
         self._finalize_engine()
 
         stats = self.stats
@@ -331,17 +563,18 @@ class PipelineBase:
         if self._count == 0:
             return stats
         scheduler = self.scheduler
-        memorder = self.memorder
-        frontend = self.frontend
+        outcomes = self.outcomes
+        hierarchy = outcomes.memorder.hierarchy
+        sbox_array = outcomes.memorder.sbox_array
         stats.cycles = max(scheduler.max_complete, scheduler.retire_prev)
-        if memorder.hierarchy is not None:
-            stats.l1_misses = memorder.hierarchy.l1.misses
-            stats.l2_misses = memorder.hierarchy.l2.misses
-            stats.tlb_misses = memorder.hierarchy.tlb.misses
-        if memorder.sbox_array is not None:
-            stats.extra["sbox_cache_hits"] = memorder.sbox_array.total_hits
-        if frontend.predictor is not None:
-            stats.extra["predictor_lookups"] = frontend.predictor.lookups
+        if hierarchy is not None:
+            stats.l1_misses = hierarchy.l1.misses
+            stats.l2_misses = hierarchy.l2.misses
+            stats.tlb_misses = hierarchy.tlb.misses
+        if sbox_array is not None:
+            stats.extra["sbox_cache_hits"] = sbox_array.total_hits
+        if outcomes.predictor is not None:
+            stats.extra["predictor_lookups"] = outcomes.predictor.lookups
 
         if self._attribute:
             attribution = self.attribution
@@ -398,14 +631,14 @@ class PipelineBase:
             del labels[:until - base]
             attribution.label_base = until
 
-    def _prune_maps(self, horizon: int, store_count: int) -> None:
+    def _prune_maps(self, horizon: int) -> None:
         """Fold cycles below ``horizon`` and drop dead map entries.
 
         Every resource probe of every later instruction starts at or above
-        ``horizon``, so stats are invariant to *when* pruning happens.
-        ``store_count`` is the caller's running store count.  The maps are
-        mutated in place, so references pinned in an engine's locals stay
-        valid.
+        ``horizon``, so stats are invariant to *when* pruning happens.  A
+        store data-ready cycle below it can no longer delay a request
+        either.  The maps are mutated in place, so references pinned in
+        an engine's locals stay valid.
         """
         scheduler = self.scheduler
         if self._attribute and horizon > self.attribution.flushed_until:
@@ -433,7 +666,13 @@ class PipelineBase:
                     for cycle in [c for c in counters if c < horizon]:
                         del counters[cycle]
             scheduler.trim_mark = horizon
-        self.memorder.prune_store_map(store_count)
+            for full in scheduler.saturated.values():
+                for cycle in [c for c in full if c < horizon]:
+                    del full[cycle]
+            store_ready = self.ordering.store_ready
+            for order in [o for o, ready in store_ready.items()
+                          if ready < horizon]:
+                del store_ready[order]
 
     def _finalize_engine(self) -> None:
         """Hook: fold engine-private accumulators into the stage state.

@@ -120,7 +120,7 @@ def test_attribution_does_not_change_cycles(program):
     trace = _trace(program)
     baseline = simulate(trace, FOURW)
     eager = simulate(
-        trace, FOURW.with_(prune_interval=16, prune_entries=1)
+        trace, FOURW.with_(prune_interval=16)
     )
     assert eager.cycles == baseline.cycles
     assert eager.stall_slots == baseline.stall_slots
@@ -134,7 +134,7 @@ def test_prune_cadence_does_not_change_account():
     baseline = simulate(run.trace, FOURW, run.warm_ranges)
     eager = simulate(
         run.trace,
-        FOURW.with_(prune_interval=64, prune_entries=1),
+        FOURW.with_(prune_interval=64),
         run.warm_ranges,
     )
     assert eager.cycles == baseline.cycles

@@ -17,7 +17,14 @@ from repro.isa import assemble
 from repro.kernels import KERNEL_NAMES
 from repro.kernels.registry import make_kernel
 from repro.obs.diffing import explain_stats_delta
-from repro.sim import DATAFLOW, EIGHTW_PLUS, FOURW, Machine, Memory
+from repro.sim import (
+    DATAFLOW,
+    EIGHTW_PLUS,
+    FOURW,
+    Machine,
+    Memory,
+    bottleneck_config,
+)
 from repro.sim.backends import get_backend
 from repro.sim.timing import (
     DEFAULT_ENGINE,
@@ -32,7 +39,9 @@ from repro.sim.trace import StaticInfo
 
 from .test_timing_properties import random_programs
 
-CONFIGS = (FOURW, EIGHTW_PLUS, DATAFLOW)
+# DF+res: unit pools without slot accounting, where the generic loop
+# skips saturated cycles and the generated code walks them one by one.
+CONFIGS = (FOURW, EIGHTW_PLUS, DATAFLOW, bottleneck_config("res"))
 CHUNK_SIZES = (1, 7, 4096, None)
 
 
